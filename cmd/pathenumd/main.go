@@ -30,8 +30,7 @@
 // duplicate queries answered once, BFS frontiers shared across queries
 // with a common endpoint — and reports what it saved in the response
 // stats; add "stream":true for NDJSON with per-query flush as groups
-// complete (Engine.StreamBatch), or "naive":true to force the independent
-// per-query fan-out instead. Frontiers survive the batch in the engine's
+// complete (Engine.StreamBatch). Frontiers survive the batch in the engine's
 // cross-batch cache (size it with -frontier-cache) and single queries
 // both consult and — for hub-grade endpoints — deposit, so a repeat hub
 // is served with zero BFS passes — watch bfsPassesRun and cacheHits in

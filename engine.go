@@ -768,9 +768,9 @@ func (e *Engine) frontiers(ctx context.Context, g *Graph, engineOracle DistanceO
 // The flip side: a zero value can never override a non-zero default. A
 // per-call Auto inherits the default Method (Auto is the zero value), a
 // per-call Limit/Timeout of 0 cannot lift a default limit/timeout, and a
-// nil Emit/Predicate/Oracle cannot clear a default one. Engines intended
-// to serve unrestricted per-call traffic should keep those defaults zero
-// and let callers opt in per call.
+// nil Emit/Predicate/Oracle/Accumulate/Sequence cannot clear a default
+// one. Engines intended to serve unrestricted per-call traffic should
+// keep those defaults zero and let callers opt in per call.
 func (e *Engine) MergeOptions(opts Options) Options {
 	e.mu.RLock()
 	def := e.defaults
@@ -799,6 +799,12 @@ func (e *Engine) MergeOptions(opts Options) Options {
 	}
 	if opts.Parallelism == 0 {
 		opts.Parallelism = def.Parallelism
+	}
+	if opts.Accumulate == nil {
+		opts.Accumulate = def.Accumulate
+	}
+	if opts.Sequence == nil {
+		opts.Sequence = def.Sequence
 	}
 	// Intra-query fan-out is capped at the engine's worker count: a
 	// request cannot commandeer more goroutines than the pool is sized

@@ -106,7 +106,8 @@ func TestExecuteBatchDedupFanOut(t *testing.T) {
 }
 
 // TestExecuteBatchConstraints: a constraint-carrying batch (edge
-// predicate shared batch-wide) agrees with constrained per-query runs.
+// predicate, then predicate plus an Appendix-E sequence constraint,
+// shared batch-wide) agrees with constrained per-query runs.
 func TestExecuteBatchConstraints(t *testing.T) {
 	g := engineGraph()
 	e, err := NewEngine(g, EngineConfig{Workers: 3})
@@ -114,22 +115,29 @@ func TestExecuteBatchConstraints(t *testing.T) {
 		t.Fatal(err)
 	}
 	pred := func(from, to VertexID) bool { return (int(from)+int(to))%3 != 0 }
+	dfa, err := AtLeastCountDFA(2, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := &SequenceConstraint{Automaton: dfa, Label: func(from, to VertexID) Label { return Label((from + to) % 2) }}
 	var queries []Query
 	for i := 1; i <= 8; i++ {
 		queries = append(queries, Query{S: 0, T: VertexID(i * 7), K: 4})
 	}
-	results, errs, _ := e.ExecuteBatch(context.Background(), queries, Options{Predicate: pred})
-	for i, q := range queries {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		want, werr := Enumerate(g, q, Options{Predicate: pred})
-		if werr != nil {
-			t.Fatal(werr)
-		}
-		if results[i].Counters.Results != want.Counters.Results {
-			t.Fatalf("%v: constrained batch count %d != Enumerate %d",
-				q, results[i].Counters.Results, want.Counters.Results)
+	for _, opts := range []Options{{Predicate: pred}, {Predicate: pred, Sequence: seq}} {
+		results, errs, _ := e.ExecuteBatch(context.Background(), queries, opts)
+		for i, q := range queries {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			want, werr := Enumerate(g, q, opts)
+			if werr != nil {
+				t.Fatal(werr)
+			}
+			if results[i].Counters.Results != want.Counters.Results {
+				t.Fatalf("%v: constrained batch count %d != Enumerate %d",
+					q, results[i].Counters.Results, want.Counters.Results)
+			}
 		}
 	}
 }

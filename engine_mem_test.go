@@ -2,6 +2,8 @@ package pathenum
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
 
 	"pathenum/internal/core"
@@ -170,5 +172,72 @@ func TestEngineWarmCache(t *testing.T) {
 	}
 	if n, err := off.WarmCache(ctx, eps); err != nil || n != 0 {
 		t.Fatalf("disabled cache warmed %d (%v), want 0, nil", n, err)
+	}
+}
+
+// TestEngineConstrainedWarmAllocs: constrained queries run on the pooled
+// sessions of the one pipeline, so a warm constrained ExecuteWith or
+// Stream allocates the same bytes on a graph with 64x the vertices —
+// nothing proportional to |V| (visited bitmap, BFS labelings) is
+// allocated per run.
+func TestEngineConstrainedWarmAllocs(t *testing.T) {
+	acc := &Accumulator{
+		Value:   func(VertexID, VertexID) float64 { return 1 },
+		Combine: func(a, b float64) float64 { return a + b },
+		Accept:  func(total float64) bool { return total == 2 },
+	}
+	q := Query{S: 0, T: 3, K: 3}
+	perRun := func(n int) (exec, stream uint64) {
+		// s=0 -> {1,2} -> t=3 -> 0, the rest isolated: the work per query
+		// is constant, only |V| grows.
+		g, err := NewGraph(n, []Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3}, {From: 3, To: 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(g, EngineConfig{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		req := NewRequest(q)
+		req.Accumulate = acc
+		execute := func() {
+			if res, err := e.ExecuteWith(ctx, q, Options{Accumulate: acc}); err != nil || res.Counters.Results != 2 {
+				t.Fatalf("execute: %v, %+v", err, res)
+			}
+		}
+		drain := func() {
+			got := 0
+			for _, err := range e.Stream(ctx, req) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				got++
+			}
+			if got != 2 {
+				t.Fatalf("stream delivered %d paths, want 2", got)
+			}
+		}
+		// The fewest bytes any one run allocates: a warm run, on a pooled
+		// session. (sync.Pool may drop sessions at a collection, and the
+		// race detector makes it drop some Puts at random.)
+		bytesOf := func(run func()) uint64 {
+			least := uint64(math.MaxUint64)
+			var before, after runtime.MemStats
+			for i := 0; i < 32; i++ {
+				runtime.ReadMemStats(&before)
+				run()
+				runtime.ReadMemStats(&after)
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			return least
+		}
+		return bytesOf(execute), bytesOf(drain)
+	}
+	smallExec, smallStream := perRun(1 << 10)
+	bigExec, bigStream := perRun(1 << 16)
+	if bigExec > smallExec+512 || bigStream > smallStream+512 {
+		t.Fatalf("per-run bytes grow with |V|: execute %d -> %d, stream %d -> %d",
+			smallExec, bigExec, smallStream, bigStream)
 	}
 }

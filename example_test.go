@@ -74,18 +74,18 @@ func ExampleCyclesThroughEdge() {
 	// Output: cycles through 3->0: 2
 }
 
-func ExampleEnumerateConstrained() {
+func ExampleEnumerate_constrained() {
 	g := diamondGraph()
 	// Only paths avoiding the edge (0,1).
-	res, err := pathenum.EnumerateConstrained(g,
+	res, err := pathenum.Enumerate(g,
 		pathenum.Query{S: 0, T: 3, K: 3},
-		pathenum.Constraints{
+		pathenum.Options{
 			Predicate: func(u, v pathenum.VertexID) bool { return !(u == 0 && v == 1) },
-		},
-		pathenum.RunControl{Emit: func(p []pathenum.VertexID) bool {
-			fmt.Println(p)
-			return true
-		}})
+			Emit: func(p []pathenum.VertexID) bool {
+				fmt.Println(p)
+				return true
+			},
+		})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -88,13 +88,12 @@ func main() {
 	shown := 0
 	for i := 0; i < numAuthors && shown < 5; i++ {
 		a, tp := author(i), topic(i%numTopics)
-		res, err := pathenum.EnumerateConstrained(g,
+		res, err := pathenum.Enumerate(g,
 			pathenum.Query{S: a, T: tp, K: hopK},
-			pathenum.Constraints{Sequence: &pathenum.SequenceConstraint{
+			pathenum.Options{Sequence: &pathenum.SequenceConstraint{
 				Automaton: dfa,
 				Label:     labelOf,
-			}},
-			pathenum.RunControl{})
+			}})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -123,10 +122,9 @@ func main() {
 	}
 	count := 0
 	for i := 0; i < 50; i++ {
-		res, err := pathenum.EnumerateConstrained(g,
+		res, err := pathenum.Enumerate(g,
 			pathenum.Query{S: author(i), T: topic(i % numTopics), K: hopK},
-			pathenum.Constraints{Sequence: &pathenum.SequenceConstraint{Automaton: dfa2, Label: labelOf}},
-			pathenum.RunControl{})
+			pathenum.Options{Sequence: &pathenum.SequenceConstraint{Automaton: dfa2, Label: labelOf}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -59,27 +59,27 @@ func main() {
 		source, dest, hopK, riskBar)
 
 	reported := 0
-	res, err := pathenum.EnumerateConstrained(g,
+	res, err := pathenum.Enumerate(g,
 		pathenum.Query{S: source, T: dest, K: hopK},
-		pathenum.Constraints{
+		pathenum.Options{
 			Accumulate: &pathenum.Accumulator{
 				Value:    risk,
 				Combine:  func(a, b float64) float64 { return a + b },
 				Identity: 0,
 				Accept:   func(total float64) bool { return total >= riskBar },
 			},
-		},
-		pathenum.RunControl{Emit: func(p []pathenum.VertexID) bool {
-			total := 0.0
-			for i := 0; i+1 < len(p); i++ {
-				total += risk(p[i], p[i+1])
-			}
-			reported++
-			if reported <= 5 {
-				fmt.Printf("  flow %v, accumulated risk %.2f\n", p, total)
-			}
-			return true
-		}})
+			Emit: func(p []pathenum.VertexID) bool {
+				total := 0.0
+				for i := 0; i+1 < len(p); i++ {
+					total += risk(p[i], p[i+1])
+				}
+				reported++
+				if reported <= 5 {
+					fmt.Printf("  flow %v, accumulated risk %.2f\n", p, total)
+				}
+				return true
+			},
+		})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,185 +38,83 @@ type SequenceConstraint struct {
 	Label func(from, to graph.VertexID) automaton.Label
 }
 
-// Constraints bundles the Appendix-E extensions applied to a query.
-// Zero-value fields are inactive.
-type Constraints struct {
-	// Predicate filters edges during index construction; combined with the
-	// hop constraint it affects both enumeration methods.
-	Predicate EdgePredicate
-	// Accumulate applies an accumulative-value constraint.
-	Accumulate *Accumulator
-	// Sequence applies a label-sequence constraint.
-	Sequence *SequenceConstraint
-}
-
-// Errors returned by the constrained runner.
+// Errors returned for incomplete constraints in Options.
 var (
 	ErrBadAccumulator = errors.New("core: accumulator needs Value, Combine and Accept")
 	ErrBadSequence    = errors.New("core: sequence constraint needs Automaton and Label")
 )
 
-func (c *Constraints) validate() error {
-	if c.Accumulate != nil {
-		a := c.Accumulate
-		if a.Value == nil || a.Combine == nil || a.Accept == nil {
-			return ErrBadAccumulator
-		}
+// validateConstraints checks the Appendix-E constraints of opts.
+func validateConstraints(opts *Options) error {
+	if a := opts.Accumulate; a != nil && (a.Value == nil || a.Combine == nil || a.Accept == nil) {
+		return ErrBadAccumulator
 	}
-	if c.Sequence != nil {
-		s := c.Sequence
-		if s.Automaton == nil || s.Label == nil {
-			return ErrBadSequence
-		}
+	if s := opts.Sequence; s != nil && (s.Automaton == nil || s.Label == nil) {
+		return ErrBadSequence
 	}
 	return nil
 }
 
-// constrainedSearcher extends the index DFS with per-depth accumulator
-// values and automaton states (Algorithms 7 and 8 share the recursion).
-type constrainedSearcher struct {
-	ix      *Index
-	cons    *Constraints
-	ctl     RunControl
-	ctr     *Counters
-	path    []graph.VertexID
-	accs    []float64         // accs[d] = accumulated value at depth d
-	states  []automaton.State // states[d] = automaton state at depth d
-	onPath  []bool
-	ticker  uint32
-	stopped bool
+// dfsConstraints is the Appendix-E extension of one index DFS: the
+// accumulator value and automaton state at every depth of the current
+// path (Algorithms 7 and 8 share the recursion), stepped per edge and
+// checked at emission. Join plans never carry it — a half-side walk has
+// no automaton state for the other half — so constrained queries always
+// plan DFS; the per-tuple checks here yield exactly the whole-tuple
+// post-filter of the join's output (TestConstraintsJoinPostFilterEquivalence).
+type dfsConstraints struct {
+	acc    *Accumulator
+	seq    *SequenceConstraint
+	accs   []float64         // accs[d] = accumulated value at depth d
+	states []automaton.State // states[d] = automaton state at depth d
 }
 
-// EnumerateConstrainedDFS runs the constrained depth-first search on the
-// index. The hop constraint and predicate are enforced structurally by the
-// index; the accumulator and automaton are carried through the recursion
-// and checked at emission (plus optional monotone pruning).
-func EnumerateConstrainedDFS(ix *Index, cons Constraints, ctl RunControl, ctr *Counters) (bool, error) {
-	if err := cons.validate(); err != nil {
-		return false, err
+// newDFSConstraints returns the depth-0 state for a k-hop search, or nil
+// when neither constraint is set.
+func newDFSConstraints(acc *Accumulator, seq *SequenceConstraint, k int) *dfsConstraints {
+	if acc == nil && seq == nil {
+		return nil
 	}
-	if ctr == nil {
-		ctr = &Counters{}
+	c := &dfsConstraints{acc: acc, seq: seq}
+	if acc != nil {
+		c.accs = make([]float64, k+1)
+		c.accs[0] = acc.Identity
 	}
-	if ix.Empty() {
-		return true, nil
+	if seq != nil {
+		c.states = make([]automaton.State, k+1)
+		c.states[0] = seq.Automaton.Start()
 	}
-	s := &constrainedSearcher{
-		ix:     ix,
-		cons:   &cons,
-		ctl:    ctl,
-		ctr:    ctr,
-		path:   make([]graph.VertexID, 0, ix.k+1),
-		onPath: make([]bool, ix.g.NumVertices()),
-	}
-	if cons.Accumulate != nil {
-		s.accs = make([]float64, 1, ix.k+1)
-		s.accs[0] = cons.Accumulate.Identity
-	}
-	if cons.Sequence != nil {
-		s.states = make([]automaton.State, 1, ix.k+1)
-		s.states[0] = cons.Sequence.Automaton.Start()
-	}
-	s.path = append(s.path, ix.q.S)
-	s.onPath[ix.q.S] = true
-	s.search()
-	return !s.stopped, nil
+	return c
 }
 
-func (s *constrainedSearcher) qualifies() bool {
-	d := len(s.path) - 1
-	if a := s.cons.Accumulate; a != nil && !a.Accept(s.accs[d]) {
-		return false
+// step extends the state at depth d across the edge (v, w), leaving
+// budget hops after it. False drops the edge: an invalid automaton
+// action (Algorithm 8 line 9) or a monotone prune.
+func (c *dfsConstraints) step(d int, v, w graph.VertexID, budget int) bool {
+	if a := c.acc; a != nil {
+		next := a.Combine(c.accs[d], a.Value(v, w))
+		if a.Prune != nil && a.Prune(next, budget) {
+			return false
+		}
+		c.accs[d+1] = next
 	}
-	if q := s.cons.Sequence; q != nil && !q.Automaton.Accepting(s.states[d]) {
-		return false
+	if q := c.seq; q != nil {
+		next := q.Automaton.Step(c.states[d], q.Label(v, w))
+		if next == automaton.Invalid {
+			return false
+		}
+		c.states[d+1] = next
 	}
 	return true
 }
 
-func (s *constrainedSearcher) search() {
-	ix := s.ix
-	v := s.path[len(s.path)-1]
-	if v == ix.q.T {
-		if s.qualifies() {
-			s.ctr.Results++
-			if s.ctl.Emit != nil && !s.ctl.Emit(s.path) {
-				s.stopped = true
-			}
-			if s.ctl.Limit > 0 && s.ctr.Results >= s.ctl.Limit {
-				s.stopped = true
-			}
-		}
-		return
+// accepts reports whether the s-t path of depth d qualifies.
+func (c *dfsConstraints) accepts(d int) bool {
+	if a := c.acc; a != nil && !a.Accept(c.accs[d]) {
+		return false
 	}
-	s.ticker++
-	if s.ticker%stopCheckInterval == 0 && s.ctl.ShouldStop != nil && s.ctl.ShouldStop() {
-		s.stopped = true
-		return
+	if q := c.seq; q != nil && !q.Automaton.Accepting(c.states[d]) {
+		return false
 	}
-	depth := len(s.path) - 1
-	budget := ix.k - depth - 1
-	nbrs := ix.OutUpTo(v, budget)
-	s.ctr.EdgesAccessed += uint64(len(nbrs))
-	for _, w := range nbrs {
-		if s.onPath[w] {
-			continue
-		}
-		if a := s.cons.Accumulate; a != nil {
-			next := a.Combine(s.accs[depth], a.Value(v, w))
-			if a.Prune != nil && a.Prune(next, budget) {
-				continue
-			}
-			s.accs = append(s.accs[:depth+1], next)
-		}
-		if q := s.cons.Sequence; q != nil {
-			next := q.Automaton.Step(s.states[depth], q.Label(v, w))
-			if next == automaton.Invalid {
-				continue // Algorithm 8 line 9: invalid action, skip
-			}
-			s.states = append(s.states[:depth+1], next)
-		}
-		s.path = append(s.path, w)
-		s.onPath[w] = true
-		s.search()
-		s.onPath[w] = false
-		s.path = s.path[:len(s.path)-1]
-		if s.stopped {
-			return
-		}
-	}
-}
-
-// RunConstrained executes a constrained query end to end: predicate-filtered
-// index construction followed by the constrained DFS. Join-based evaluation
-// is intentionally not offered here even though the join now streams
-// tuple-at-a-time: Appendix E notes the DFS terminates invalid branches
-// earlier, and the accumulative/sequence constraints would still have to
-// post-filter each joined tuple whole (half-side walks carry no automaton
-// state for the other half). The two formulations are equivalent — the
-// per-tuple validation this DFS performs yields exactly the whole-tuple
-// post-filter over the streaming join's output, pinned by
-// TestConstraintsJoinPostFilterEquivalence across cuts and build sides.
-func RunConstrained(g *graph.Graph, q Query, cons Constraints, ctl RunControl) (*Result, error) {
-	if err := q.Validate(g); err != nil {
-		return nil, err
-	}
-	if err := cons.validate(); err != nil {
-		return nil, err
-	}
-	res := &Result{Query: q}
-	ix, err := BuildIndexFiltered(g, q, cons.Predicate)
-	if err != nil {
-		return nil, err
-	}
-	res.IndexEdges = ix.Edges()
-	res.IndexVertices = ix.NumIndexed()
-	res.IndexBytes = ix.MemoryBytes()
-	res.Plan = Plan{Method: MethodDFS, Preliminary: PreliminaryEstimate(ix)}
-	done, err := EnumerateConstrainedDFS(ix, cons, ctl, &res.Counters)
-	if err != nil {
-		return nil, err
-	}
-	res.Completed = done
-	return res, nil
+	return true
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -24,13 +26,14 @@ func labelOf(numLabels int) func(u, v graph.VertexID) automaton.Label {
 	}
 }
 
-func constrainedPaths(t *testing.T, g *graph.Graph, q Query, cons Constraints) [][]graph.VertexID {
+func constrainedPaths(t *testing.T, g *graph.Graph, q Query, opts Options) [][]graph.VertexID {
 	t.Helper()
 	var out [][]graph.VertexID
-	res, err := RunConstrained(g, q, cons, RunControl{Emit: func(p []graph.VertexID) bool {
+	opts.Emit = func(p []graph.VertexID) bool {
 		out = append(out, append([]graph.VertexID(nil), p...))
 		return true
-	}})
+	}
+	res, err := Run(g, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +48,7 @@ func TestPredicateConstraint(t *testing.T) {
 	q := paperQuery()
 	// Forbid the edge (v0, t): kills the length-2 path and one length-4.
 	pred := func(u, v graph.VertexID) bool { return !(u == vV0 && v == vT) }
-	got := constrainedPaths(t, g, q, Constraints{Predicate: pred})
+	got := constrainedPaths(t, g, q, Options{Predicate: pred})
 	want := 0
 	for _, p := range brutePathsLocal(g, q.S, q.T, q.K) {
 		ok := true
@@ -84,7 +87,7 @@ func TestPredicateConstraintRandom(t *testing.T) {
 		q := Query{S: s, T: tt, K: 2 + rng.Intn(3)}
 		// Keep edges whose endpoint sum is not divisible by 3.
 		pred := func(u, v graph.VertexID) bool { return (u+v)%3 != 0 }
-		got := constrainedPaths(t, g, q, Constraints{Predicate: pred})
+		got := constrainedPaths(t, g, q, Options{Predicate: pred})
 		var want [][]graph.VertexID
 		for _, p := range brutePathsLocal(g, s, tt, q.K) {
 			ok := true
@@ -122,7 +125,7 @@ func TestAccumulativeConstraint(t *testing.T) {
 			Identity: 0,
 			Accept:   func(total float64) bool { return total >= threshold },
 		}
-		got := constrainedPaths(t, g, q, Constraints{Accumulate: acc})
+		got := constrainedPaths(t, g, q, Options{Accumulate: acc})
 		var want [][]graph.VertexID
 		for _, p := range brutePathsLocal(g, s, tt, q.K) {
 			total := 0.0
@@ -154,8 +157,8 @@ func TestAccumulativePruning(t *testing.T) {
 			Prune:    prune,
 		}
 	}
-	plain := constrainedPaths(t, g, q, Constraints{Accumulate: mk(nil)})
-	pruned := constrainedPaths(t, g, q, Constraints{Accumulate: mk(
+	plain := constrainedPaths(t, g, q, Options{Accumulate: mk(nil)})
+	pruned := constrainedPaths(t, g, q, Options{Accumulate: mk(
 		func(partial float64, _ int) bool { return partial > limit },
 	)})
 	if !samePaths(plain, pruned) {
@@ -180,7 +183,7 @@ func TestSequenceConstraint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := constrainedPaths(t, g, q, Constraints{Sequence: &SequenceConstraint{
+		got := constrainedPaths(t, g, q, Options{Sequence: &SequenceConstraint{
 			Automaton: dfa,
 			Label:     lbl,
 		}})
@@ -212,14 +215,14 @@ func TestSequenceExactPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := constrainedPaths(t, g, Query{S: 0, T: 3, K: 5}, Constraints{Sequence: &SequenceConstraint{
+	got := constrainedPaths(t, g, Query{S: 0, T: 3, K: 5}, Options{Sequence: &SequenceConstraint{
 		Automaton: dfa, Label: lbl,
 	}})
 	if len(got) != 1 || len(got[0]) != 4 {
 		t.Fatalf("got %v, want the single labeled path", got)
 	}
 	// A shorter hop constraint cannot reach t at all.
-	got = constrainedPaths(t, g, Query{S: 0, T: 3, K: 2}, Constraints{Sequence: &SequenceConstraint{
+	got = constrainedPaths(t, g, Query{S: 0, T: 3, K: 2}, Options{Sequence: &SequenceConstraint{
 		Automaton: dfa, Label: lbl,
 	}})
 	if len(got) != 0 {
@@ -243,7 +246,7 @@ func TestCombinedConstraints(t *testing.T) {
 		Identity: 0,
 		Accept:   func(total float64) bool { return total >= 4 },
 	}
-	got := constrainedPaths(t, g, q, Constraints{
+	got := constrainedPaths(t, g, q, Options{
 		Predicate:  pred,
 		Accumulate: acc,
 		Sequence:   &SequenceConstraint{Automaton: dfa, Label: lbl},
@@ -273,29 +276,34 @@ func TestCombinedConstraints(t *testing.T) {
 func TestConstraintsValidation(t *testing.T) {
 	g := paperGraph(t)
 	q := paperQuery()
-	if _, err := RunConstrained(g, q, Constraints{Accumulate: &Accumulator{}}, RunControl{}); err == nil {
-		t.Error("incomplete accumulator: expected error")
+	if _, err := Run(g, q, Options{Accumulate: &Accumulator{}}); !errors.Is(err, ErrBadAccumulator) {
+		t.Errorf("incomplete accumulator: err = %v, want ErrBadAccumulator", err)
 	}
-	if _, err := RunConstrained(g, q, Constraints{Sequence: &SequenceConstraint{}}, RunControl{}); err == nil {
-		t.Error("incomplete sequence constraint: expected error")
+	if _, err := Run(g, q, Options{Sequence: &SequenceConstraint{}}); !errors.Is(err, ErrBadSequence) {
+		t.Errorf("incomplete sequence constraint: err = %v, want ErrBadSequence", err)
 	}
-	if _, err := RunConstrained(g, Query{S: 0, T: 0, K: 2}, Constraints{}, RunControl{}); err == nil {
+	if _, err := Run(g, Query{S: 0, T: 0, K: 2}, Options{}); err == nil {
 		t.Error("invalid query: expected error")
 	}
 }
 
 func TestConstrainedNoConstraintsEqualsPlain(t *testing.T) {
 	g := paperGraph(t)
-	got := constrainedPaths(t, g, paperQuery(), Constraints{})
+	got := constrainedPaths(t, g, paperQuery(), Options{})
 	want := brutePathsLocal(g, vS, vT, 4)
 	if !samePaths(got, want) {
-		t.Fatalf("unconstrained RunConstrained differs: %d vs %d", len(got), len(want))
+		t.Fatalf("unconstrained run differs: %d vs %d", len(got), len(want))
 	}
 }
 
 func TestConstrainedLimit(t *testing.T) {
 	g := gen.Layered(4, 3)
-	res, err := RunConstrained(g, Query{S: 0, T: 1, K: 4}, Constraints{}, RunControl{Limit: 3})
+	anyTotal := &Accumulator{
+		Value:   func(graph.VertexID, graph.VertexID) float64 { return 1 },
+		Combine: func(a, b float64) float64 { return a + b },
+		Accept:  func(float64) bool { return true },
+	}
+	res, err := Run(g, Query{S: 0, T: 1, K: 4}, Options{Accumulate: anyTotal, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,47 +346,96 @@ func TestRunWithPredicateOption(t *testing.T) {
 	}
 }
 
-// evalPathConstraints replays cons over a complete path — the whole-tuple
-// post-filter that join-based constrained evaluation would need (see the
-// RunConstrained note).
-func evalPathConstraints(cons Constraints, p []graph.VertexID) bool {
+// evalPathConstraints replays the predicate and Appendix-E constraints
+// of opts over a complete path: the whole-tuple post-filter that
+// join-based constrained evaluation would need. It is written
+// independently of the searcher's constraint state on purpose.
+func evalPathConstraints(opts Options, p []graph.VertexID) bool {
 	var acc float64
-	if a := cons.Accumulate; a != nil {
+	if a := opts.Accumulate; a != nil {
 		acc = a.Identity
 	}
 	var state automaton.State
-	if s := cons.Sequence; s != nil {
+	if s := opts.Sequence; s != nil {
 		state = s.Automaton.Start()
 	}
 	for i := 0; i+1 < len(p); i++ {
 		from, to := p[i], p[i+1]
-		if a := cons.Accumulate; a != nil {
+		if opts.Predicate != nil && !opts.Predicate(from, to) {
+			return false
+		}
+		if a := opts.Accumulate; a != nil {
 			acc = a.Combine(acc, a.Value(from, to))
 		}
-		if s := cons.Sequence; s != nil {
+		if s := opts.Sequence; s != nil {
 			state = s.Automaton.Step(state, s.Label(from, to))
 			if state == automaton.Invalid {
 				return false
 			}
 		}
 	}
-	if a := cons.Accumulate; a != nil && !a.Accept(acc) {
+	if a := opts.Accumulate; a != nil && !a.Accept(acc) {
 		return false
 	}
-	if s := cons.Sequence; s != nil && !s.Automaton.Accepting(state) {
+	if s := opts.Sequence; s != nil && !s.Automaton.Accepting(state) {
 		return false
 	}
 	return true
 }
 
-// TestConstraintsJoinPostFilterEquivalence is the regression test behind
-// the RunConstrained note: per-tuple validation under the streaming
-// constrained pipeline (StreamConstrained's DFS) must yield exactly the
-// same result set as whole-tuple post-filtering over the streaming join,
-// for predicate + accumulative + label-sequence constraints, across every
-// cut position and both build sides.
+type constraintCase struct {
+	name string
+	opts Options
+}
+
+// constraintCases are the Appendix-E constraint sets the differential
+// test runs: a monotone accumulator with pruning, a label-sequence DFA,
+// both together, and a predicate with a non-monotone accumulator and a
+// DFA.
+func constraintCases(t *testing.T) []constraintCase {
+	t.Helper()
+	dfa, err := automaton.AtLeastCount(2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := &SequenceConstraint{
+		Automaton: dfa,
+		Label:     func(from, to graph.VertexID) automaton.Label { return automaton.Label((int(from) + int(to)) % 2) },
+	}
+	const limit = 8
+	pruned := &Accumulator{
+		Value:   weightOf,
+		Combine: func(a, b float64) float64 { return a + b },
+		Accept:  func(total float64) bool { return total <= limit },
+		Prune:   func(partial float64, _ int) bool { return partial > limit },
+	}
+	return []constraintCase{
+		{"accumulate+prune", Options{Accumulate: pruned}},
+		{"sequence", Options{Sequence: seq}},
+		{"both", Options{Accumulate: pruned, Sequence: seq}},
+		{"predicate+parity+sequence", Options{
+			Predicate: func(from, to graph.VertexID) bool { return (int(from)+int(to))%7 != 0 },
+			Accumulate: &Accumulator{
+				Value:    func(from, to graph.VertexID) float64 { return float64((int(from) + 2*int(to)) % 4) },
+				Combine:  func(a, b float64) float64 { return a + b },
+				Identity: 0,
+				Accept:   func(total float64) bool { return int(total)%2 == 0 },
+			},
+			Sequence: seq,
+		}},
+	}
+}
+
+// TestConstraintsJoinPostFilterEquivalence: for every constraint case,
+// the brute-force oracle's whole-tuple post-filter is the reference path
+// set. The constrained DFS streamed through Session.Stream must equal it
+// at parallelism 1, 2 and 4, and so must the whole-tuple post-filter over
+// the streaming join on the predicate-filtered index, across every cut
+// position and both build sides. This is why constrained queries can
+// always plan DFS without losing answers.
 func TestConstraintsJoinPostFilterEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
+	cases := constraintCases(t)
 	trials := 0
 	for trials < 30 {
 		n := 6 + rng.Intn(10)
@@ -391,56 +448,60 @@ func TestConstraintsJoinPostFilterEquivalence(t *testing.T) {
 		trials++
 		k := 2 + rng.Intn(3)
 		q := Query{S: s, T: tt, K: k}
-		pred := func(from, to graph.VertexID) bool { return (int(from)+int(to))%7 != 0 }
-		dfa, err := automaton.AtLeastCount(2, 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cons := Constraints{
-			Predicate: pred,
-			Accumulate: &Accumulator{
-				Value:    func(from, to graph.VertexID) float64 { return float64((int(from) + 2*int(to)) % 4) },
-				Combine:  func(a, b float64) float64 { return a + b },
-				Identity: 0,
-				Accept:   func(total float64) bool { return int(total)%2 == 0 },
-			},
-			Sequence: &SequenceConstraint{
-				Automaton: dfa,
-				Label:     func(from, to graph.VertexID) automaton.Label { return automaton.Label((int(from) + int(to)) % 2) },
-			},
-		}
-
-		// Per-tuple validation, streamed (the shipping pipeline).
-		want := streamPaths(t, StreamConstrained(context.Background(), g, q, cons, Options{}, StreamConfig{}))
-
-		// Whole-tuple post-filter over the streaming join on the
-		// predicate-filtered index.
-		ix, err := BuildIndexFiltered(g, q, pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for cut := 1; cut < k; cut++ {
-			for _, side := range []BuildSide{BuildLeft, BuildRight} {
-				var got []string
-				done, err := EnumerateJoinSide(ix, cut, side, RunControl{Emit: func(p []graph.VertexID) bool {
-					if evalPathConstraints(cons, p) {
-						got = append(got, pathKey(p))
-					}
-					return true
-				}}, nil, nil)
-				if err != nil || !done {
-					t.Fatalf("trial %d cut %d side %v: done=%v err=%v", trials, cut, side, done, err)
+		sess := NewSession(g, nil)
+		for _, c := range cases {
+			name, opts := c.name, c.opts
+			var want []string
+			for _, p := range brutePathsLocal(g, s, tt, k) {
+				if evalPathConstraints(opts, p) {
+					want = append(want, pathKey(p))
 				}
-				sort.Strings(got)
+			}
+			sort.Strings(want)
+			check := func(what string, got []string) {
+				t.Helper()
 				if len(got) != len(want) {
-					t.Fatalf("trial %d cut %d side %v: post-filtered join %d paths, constrained DFS %d (q=%v)",
-						trials, cut, side, len(got), len(want), q)
+					t.Fatalf("trial %d %s %s: %d paths, oracle %d (q=%v)", trials, name, what, len(got), len(want), q)
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("trial %d cut %d side %v: path %d: join %q, DFS %q (q=%v)",
-							trials, cut, side, i, got[i], want[i], q)
+						t.Fatalf("trial %d %s %s: path %d: %q, oracle %q (q=%v)", trials, name, what, i, got[i], want[i], q)
 					}
+				}
+			}
+
+			for _, par := range []int{1, 2, 4} {
+				popts := opts
+				popts.Parallelism = par
+				popts.Method = MethodJoin // ignored: constraints plan DFS
+				var res *Result
+				got := streamPaths(t, sess.StreamWith(context.Background(), q, popts, StreamConfig{
+					OnResult: func(r *Result) { res = r },
+				}))
+				check(fmt.Sprintf("stream p%d", par), got)
+				if res == nil || !res.Completed || res.Plan.Method != MethodDFS || res.Counters.Results != uint64(len(want)) {
+					t.Fatalf("trial %d %s p%d: result %+v", trials, name, par, res)
+				}
+			}
+
+			ix, err := BuildIndexFiltered(g, q, opts.Predicate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for cut := 1; cut < k; cut++ {
+				for _, side := range []BuildSide{BuildLeft, BuildRight} {
+					var got []string
+					done, err := EnumerateJoinSide(ix, cut, side, RunControl{Emit: func(p []graph.VertexID) bool {
+						if evalPathConstraints(opts, p) {
+							got = append(got, pathKey(p))
+						}
+						return true
+					}}, nil, nil)
+					if err != nil || !done {
+						t.Fatalf("trial %d cut %d side %v: done=%v err=%v", trials, cut, side, done, err)
+					}
+					sort.Strings(got)
+					check(fmt.Sprintf("join cut %d side %v", cut, side), got)
 				}
 			}
 		}

@@ -32,13 +32,33 @@ const stopCheckInterval = 1024
 
 // dfsSearcher is the state of one Algorithm-4 run.
 type dfsSearcher struct {
-	ix      *Index
-	ctl     RunControl
-	ctr     *Counters
-	path    []graph.VertexID
-	onPath  []bool // indexed by vertex id
+	ix     *Index
+	ctl    RunControl
+	ctr    *Counters
+	path   []graph.VertexID
+	onPath []bool // indexed by vertex id
+	// cons carries the Appendix-E constraint state; nil when the query
+	// has none, which is the only cost unconstrained runs pay for it.
+	cons    *dfsConstraints
 	ticker  uint32
 	stopped bool
+}
+
+// newDFSSearcher prepares a search rooted at s on a clean caller-owned
+// visited bitmap: the path holds s, s is marked, and the constraint
+// state (when acc or seq is set) starts at depth 0.
+func newDFSSearcher(ix *Index, onPath []bool, acc *Accumulator, seq *SequenceConstraint, ctl RunControl, ctr *Counters) *dfsSearcher {
+	s := &dfsSearcher{
+		ix:     ix,
+		ctl:    ctl,
+		ctr:    ctr,
+		path:   make([]graph.VertexID, 1, ix.k+1),
+		onPath: onPath,
+		cons:   newDFSConstraints(acc, seq, ix.k),
+	}
+	s.path[0] = ix.q.S
+	onPath[ix.q.S] = true
+	return s
 }
 
 // EnumerateDFS runs the depth-first search on the index (Algorithm 4) and
@@ -51,15 +71,7 @@ func EnumerateDFS(ix *Index, ctl RunControl, ctr *Counters) bool {
 	if ix.Empty() {
 		return true
 	}
-	s := &dfsSearcher{
-		ix:     ix,
-		ctl:    ctl,
-		ctr:    ctr,
-		path:   make([]graph.VertexID, 0, ix.k+1),
-		onPath: make([]bool, ix.g.NumVertices()),
-	}
-	s.path = append(s.path, ix.q.S)
-	s.onPath[ix.q.S] = true
+	s := newDFSSearcher(ix, make([]bool, ix.g.NumVertices()), nil, nil, ctl, ctr)
 	s.search()
 	return !s.stopped
 }
@@ -71,6 +83,9 @@ func (s *dfsSearcher) search() uint64 {
 	ix := s.ix
 	v := s.path[len(s.path)-1]
 	if v == ix.q.T {
+		if s.cons != nil && !s.cons.accepts(len(s.path)-1) {
+			return 0
+		}
 		s.ctr.Results++
 		if s.ctl.Emit != nil && !s.ctl.Emit(s.path) {
 			s.stopped = true
@@ -91,6 +106,9 @@ func (s *dfsSearcher) search() uint64 {
 	var found uint64
 	for _, w := range nbrs {
 		if s.onPath[w] {
+			continue
+		}
+		if s.cons != nil && !s.cons.step(len(s.path)-1, v, w, budget) {
 			continue
 		}
 		s.path = append(s.path, w)

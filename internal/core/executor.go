@@ -75,6 +75,16 @@ func (e *executor) executeShared(ctx context.Context, q Query, opts Options, fwd
 	if err := q.Validate(e.g); err != nil {
 		return nil, err
 	}
+	if err := validateConstraints(&opts); err != nil {
+		return nil, err
+	}
+	res := &Result{Query: q}
+	// A simple path has at most |V|-1 edges, so a larger hop bound names
+	// the same path set. Clamping it bounds the index's O(m·k) arrays by
+	// the graph instead of the request; Result.Query keeps the caller's k.
+	if n := e.g.NumVertices(); q.K > n-1 {
+		q.K = n - 1
+	}
 	if fwd != nil {
 		if err := fwd.compatible(e.g, q, true, opts.Predicate, opts.PredicateToken); err != nil {
 			return nil, err
@@ -88,7 +98,6 @@ func (e *executor) executeShared(ctx context.Context, q Query, opts Options, fwd
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res := &Result{Query: q}
 	shouldStop := newStopper(ctx, opts.Timeout)
 	oracle := opts.Oracle
 	if oracle == nil {
@@ -191,9 +200,9 @@ func (e *executor) executeShared(ctx context.Context, q Query, opts Options, fwd
 		res.Completed = done
 	default:
 		if par > 1 {
-			res.Completed = EnumerateDFSParallel(ix, par, ctl, &res.Counters)
+			res.Completed = enumerateDFSParallel(ix, par, opts.Accumulate, opts.Sequence, ctl, &res.Counters)
 		} else {
-			res.Completed = e.enumerateDFS(ix, ctl, &res.Counters)
+			res.Completed = e.enumerateDFS(ix, opts.Accumulate, opts.Sequence, ctl, &res.Counters)
 		}
 	}
 	res.Timings.Enumerate = time.Since(enumStart)
@@ -227,8 +236,14 @@ func newStopper(ctx context.Context, timeout time.Duration) func() bool {
 }
 
 // selectPlan applies the method override or runs the two-phase optimizer.
+// Constrained queries always plan DFS: only the DFS carries Appendix-E
+// state through its recursion (see dfsConstraints).
 func selectPlan(ix *Index, opts Options) Plan {
-	switch opts.Method {
+	method := opts.Method
+	if opts.Accumulate != nil || opts.Sequence != nil {
+		method = MethodDFS
+	}
+	switch method {
 	case MethodDFS:
 		return Plan{Method: MethodDFS, Preliminary: PreliminaryEstimate(ix)}
 	case MethodJoin:
@@ -269,28 +284,19 @@ func predictedBuildBytes(est *Estimate, cut int, side BuildSide) int64 {
 	return int64(tuples * per)
 }
 
-// enumerateDFS is EnumerateDFS with the executor's reusable visited bitmap.
-// The bitmap is clean on entry and restored to clean on exit (the search
-// unsets every bit it sets; early stops sweep the residual path).
-func (e *executor) enumerateDFS(ix *Index, ctl RunControl, ctr *Counters) bool {
+// enumerateDFS is EnumerateDFS with the executor's reusable visited bitmap
+// and the query's Appendix-E constraints. The bitmap is clean on entry and
+// restored to clean on exit (the search unsets every bit it sets; early
+// stops sweep the residual path).
+func (e *executor) enumerateDFS(ix *Index, acc *Accumulator, seq *SequenceConstraint, ctl RunControl, ctr *Counters) bool {
 	if ix.Empty() {
 		return true
 	}
 	if e.onPath == nil {
 		e.onPath = make([]bool, e.g.NumVertices())
 	}
-	ds := &dfsSearcher{
-		ix:     ix,
-		ctl:    ctl,
-		ctr:    ctr,
-		path:   make([]graph.VertexID, 0, ix.k+1),
-		onPath: e.onPath,
-	}
-	ds.path = append(ds.path, ix.q.S)
-	ds.onPath[ix.q.S] = true
+	ds := newDFSSearcher(ix, e.onPath, acc, seq, ctl, ctr)
 	ds.search()
-	ds.onPath[ix.q.S] = false
-	// On early stop the recursion may leave bits set; sweep the path.
 	for _, v := range ds.path {
 		ds.onPath[v] = false
 	}

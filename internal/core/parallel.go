@@ -238,6 +238,14 @@ func runShards(nShards int, ctl RunControl, ctr *Counters, run func(shard int, s
 // falls back to the sequential search. Every path handed to Emit is a
 // fresh slice owned by the callee, fallback included.
 func EnumerateDFSParallel(ix *Index, parallelism int, ctl RunControl, ctr *Counters) bool {
+	return enumerateDFSParallel(ix, parallelism, nil, nil, ctl, ctr)
+}
+
+// enumerateDFSParallel is EnumerateDFSParallel carrying the query's
+// Appendix-E constraints: every shard owns its constraint state, and the
+// root loop steps each root edge through it exactly as the sequential
+// search's first level does.
+func enumerateDFSParallel(ix *Index, parallelism int, acc *Accumulator, seq *SequenceConstraint, ctl RunControl, ctr *Counters) bool {
 	if ctr == nil {
 		ctr = &Counters{}
 	}
@@ -250,22 +258,19 @@ func EnumerateDFSParallel(ix *Index, parallelism int, ctl RunControl, ctr *Count
 		shards = len(roots)
 	}
 	if shards <= 1 {
-		return EnumerateDFS(ix, ownedEmit(ctl), ctr)
+		ds := newDFSSearcher(ix, make([]bool, ix.g.NumVertices()), acc, seq, ownedEmit(ctl), ctr)
+		ds.search()
+		return !ds.stopped
 	}
 	// The root scan happens once, here, not per shard.
 	ctr.EdgesAccessed += uint64(len(roots))
 	return runShards(shards, ctl, ctr, func(i int, sctl RunControl, sctr *Counters) bool {
-		ds := &dfsSearcher{
-			ix:     ix,
-			ctl:    sctl,
-			ctr:    sctr,
-			path:   make([]graph.VertexID, 0, ix.k+1),
-			onPath: make([]bool, ix.g.NumVertices()),
-		}
-		ds.path = append(ds.path, ix.q.S)
-		ds.onPath[ix.q.S] = true
+		ds := newDFSSearcher(ix, make([]bool, ix.g.NumVertices()), acc, seq, sctl, sctr)
 		for j := i; j < len(roots); j += shards {
 			w := roots[j]
+			if ds.cons != nil && !ds.cons.step(0, ix.q.S, w, ix.k-1) {
+				continue
+			}
 			ds.path = append(ds.path, w)
 			ds.onPath[w] = true
 			sub := ds.search()

@@ -41,8 +41,14 @@ type Options struct {
 	// with merge-enforced Limit semantics, and every emitted path is a
 	// fresh slice owned by the callee (unlike the sequential reused
 	// buffer). Completed runs report identical Counters; the engine caps
-	// the value at its worker count, and the constrained DFS ignores it.
+	// the value at its worker count.
 	Parallelism int
+	// Accumulate and Sequence are the Appendix-E accumulative-value and
+	// label-sequence constraints (nil = off). Setting either plans the
+	// index DFS, which carries their state through the recursion; Method
+	// and Tau are then ignored.
+	Accumulate *Accumulator
+	Sequence   *SequenceConstraint
 }
 
 // Timings breaks the query time into the phases reported by Figures 7, 12

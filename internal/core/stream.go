@@ -108,27 +108,6 @@ func (s *Session) StreamWith(ctx context.Context, q Query, opts Options, sc Stre
 	return makeStream(ctx, sc, run, opts.Parallelism > 1)
 }
 
-// StreamConstrained is the streaming face of RunConstrained: the
-// constrained index DFS (Appendix E) delivered as a pull iterator. Options
-// supplies the per-request knobs shared with the unconstrained pipeline —
-// Limit, Timeout and the edge Predicate (which joins cons.Predicate if
-// that is nil); Method, Tau and Oracle do not apply to the constrained
-// DFS and are ignored, as is Emit (the yield replaces it).
-func StreamConstrained(ctx context.Context, g *graph.Graph, q Query, cons Constraints, opts Options, sc StreamConfig) iter.Seq2[[]graph.VertexID, error] {
-	if cons.Predicate == nil {
-		cons.Predicate = opts.Predicate
-	}
-	run := func(ctx context.Context, emit func([]graph.VertexID) bool) (*Result, error) {
-		ctl := RunControl{
-			Emit:       emit,
-			Limit:      opts.Limit,
-			ShouldStop: newStopper(ctx, opts.Timeout),
-		}
-		return RunConstrained(g, q, cons, ctl)
-	}
-	return makeStream(ctx, sc, run, false)
-}
-
 // streamState is the per-stream mutable state shared between the emit
 // closure and the stream body — one struct so the closure capture costs a
 // single heap cell. firstNs needs no atomic: emit and the post-run stamp

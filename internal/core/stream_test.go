@@ -432,11 +432,11 @@ func TestStreamJoinBufferedNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestStreamConstrained: the constrained stream matches RunConstrained on
-// an accumulative constraint, both modes.
+// TestStreamConstrained: a constrained Session stream matches the
+// constrained Run on an accumulative constraint, both modes.
 func TestStreamConstrained(t *testing.T) {
 	g, q := layeredGraph(t, 3, 3)
-	cons := Constraints{
+	opts := Options{
 		Accumulate: &Accumulator{
 			Value:    func(from, to graph.VertexID) float64 { return 1 },
 			Combine:  func(a, b float64) float64 { return a + b },
@@ -445,17 +445,20 @@ func TestStreamConstrained(t *testing.T) {
 		},
 	}
 	var want []string
-	res, err := RunConstrained(g, q, cons, RunControl{Emit: func(p []graph.VertexID) bool {
+	runOpts := opts
+	runOpts.Emit = func(p []graph.VertexID) bool {
 		want = append(want, pathKey(p))
 		return true
-	}})
+	}
+	res, err := Run(g, q, runOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sort.Strings(want)
+	sess := NewSession(g, nil)
 	for _, buffer := range []int{0, 2} {
 		var done *Result
-		got := streamPaths(t, StreamConstrained(context.Background(), g, q, cons, Options{}, StreamConfig{
+		got := streamPaths(t, sess.StreamWith(context.Background(), q, opts, StreamConfig{
 			Buffer:   buffer,
 			OnResult: func(r *Result) { done = r },
 		}))

@@ -35,7 +35,6 @@ type Engine interface {
 	Insert(from, to pathenum.VertexID) (bool, error)
 	Flush() error
 	ExecuteWith(ctx context.Context, q pathenum.Query, opts pathenum.Options) (*pathenum.Result, error)
-	ExecuteAllContext(ctx context.Context, queries []pathenum.Query, opts pathenum.Options) ([]*pathenum.Result, []error)
 	ExecuteBatch(ctx context.Context, queries []pathenum.Query, opts pathenum.Options) ([]*pathenum.Result, []error, *pathenum.BatchStats)
 	Stream(ctx context.Context, req pathenum.Request) iter.Seq2[pathenum.Path, error]
 	StreamBatch(ctx context.Context, queries []pathenum.Query, opts pathenum.Options) iter.Seq[pathenum.BatchItem]
@@ -626,21 +625,17 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 
 // batchRequest is the JSON body of POST /batch: a list of queries answered
 // against the shared engine, plus batch-wide option overrides. Responses
-// carry counts only (no path materialization). Naive opts out of the
-// shared-computation batch subsystem and fans the queries out
-// independently (the ExecuteAllContext baseline).
+// carry counts only (no path materialization).
 type batchRequest struct {
 	Queries []queryRequest `json:"queries"`
 	Method  string         `json:"method,omitempty"`
 	Limit   uint64         `json:"limit,omitempty"`
 	Timeout string         `json:"timeout,omitempty"`
-	Naive   bool           `json:"naive,omitempty"`
 	// Stream switches the response to NDJSON with per-query flush: one
 	// {"index":i,...} line the moment each query's group completes
 	// (completion order, not input order), closed by a {"done":true,...}
 	// line carrying the batch stats. Client disconnect cancels the
-	// remaining work fail-fast. Mutually exclusive with Naive — streaming
-	// delivery is a property of the shared-computation scheduler.
+	// remaining work fail-fast.
 	Stream bool `json:"stream,omitempty"`
 }
 
@@ -700,10 +695,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Stream && req.Naive {
-		httpError(w, http.StatusBadRequest, "stream and naive are mutually exclusive")
-		return
-	}
 
 	out := make([]batchResult, len(req.Queries))
 	queries := make([]pathenum.Query, 0, len(req.Queries))
@@ -732,18 +723,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The shared-computation batch subsystem is the default path: it
 	// dedups identical queries and shares BFS frontiers across queries
 	// with a common endpoint, reporting what it saved in the response
-	// stats. "naive":true keeps the independent fan-out for comparison.
+	// stats.
 	start := time.Now()
-	var (
-		results []*pathenum.Result
-		errs    []error
-		stats   *pathenum.BatchStats
-	)
-	if req.Naive {
-		results, errs = s.engine.ExecuteAllContext(r.Context(), queries, opts)
-	} else {
-		results, errs, stats = s.engine.ExecuteBatch(r.Context(), queries, opts)
-	}
+	results, errs, stats := s.engine.ExecuteBatch(r.Context(), queries, opts)
 	var delivered uint64
 	for j, i := range slots {
 		if errs[j] != nil {
@@ -758,14 +740,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		delivered += results[j].Counters.Results
 	}
 	annotate(r, "batch", delivered)
-	resp := map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"results": out,
 		"ms":      float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	if stats != nil {
-		resp["stats"] = s.toBatchStats(stats, len(req.Queries), len(req.Queries)-len(queries))
-	}
-	writeJSON(w, http.StatusOK, resp)
+		"stats":   s.toBatchStats(stats, len(req.Queries), len(req.Queries)-len(queries)),
+	})
 }
 
 // toBatchStats converts the subsystem stats to the wire form. The planner

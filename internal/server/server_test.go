@@ -346,22 +346,6 @@ func TestBatchStatsTwoSided(t *testing.T) {
 	}
 }
 
-// TestBatchNaiveFallback: "naive":true keeps the independent fan-out and
-// omits the stats block.
-func TestBatchNaiveFallback(t *testing.T) {
-	ts := testServer(t, nil)
-	resp, br := postBatch(t, ts, `{"queries":[{"s":0,"t":3,"k":3},{"s":1,"t":3,"k":3}],"naive":true}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if br.Stats != nil {
-		t.Fatalf("naive batch must not report planner stats, got %+v", br.Stats)
-	}
-	if br.Results[0].Count != 2 || br.Results[1].Count != 1 {
-		t.Fatalf("naive counts wrong: %+v", br.Results)
-	}
-}
-
 // TestBatchPerQueryErrors: a bad query fills its slot without failing the
 // batch.
 func TestBatchPerQueryErrors(t *testing.T) {
@@ -735,19 +719,5 @@ func TestBatchStreamNDJSON(t *testing.T) {
 	}
 	if e, _ := byIndex[1]["error"].(string); e == "" {
 		t.Fatalf("index 1 (unknown vertex) must carry an error: %v", byIndex[1])
-	}
-}
-
-// TestBatchStreamNaiveConflict: stream+naive is a contract error.
-func TestBatchStreamNaiveConflict(t *testing.T) {
-	ts := testServer(t, nil)
-	resp, err := http.Post(ts.URL+"/batch", "application/json",
-		strings.NewReader(`{"stream":true,"naive":true,"queries":[{"s":0,"t":3,"k":3}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
 	}
 }

@@ -403,7 +403,16 @@ func optionsOf(req pathenum.Request) pathenum.Options {
 		PredicateToken: req.PredicateToken,
 		Oracle:         req.Oracle,
 		Parallelism:    req.Parallelism,
+		Accumulate:     req.Accumulate,
+		Sequence:       req.Sequence,
 	}
+}
+
+// constrained reports whether opts carry an Appendix-E constraint: the
+// seam join has no automaton or accumulator state for the other side of
+// the cut, so such queries run whole on the fallback engine.
+func constrained(opts pathenum.Options) bool {
+	return opts.Accumulate != nil || opts.Sequence != nil
 }
 
 // requestFrom raises (q, opts) to the streaming surface (Emit handled by
@@ -419,6 +428,8 @@ func requestFrom(q core.Query, opts pathenum.Options) pathenum.Request {
 		PredicateToken: opts.PredicateToken,
 		Oracle:         opts.Oracle,
 		Parallelism:    opts.Parallelism,
+		Accumulate:     opts.Accumulate,
+		Sequence:       opts.Sequence,
 	}
 }
 
@@ -440,8 +451,7 @@ func oracleFor(o pathenum.DistanceOracle, g *pathenum.Graph) pathenum.DistanceOr
 func (e *Engine) Stream(ctx context.Context, req pathenum.Request) iter.Seq2[pathenum.Path, error] {
 	return func(yield func(pathenum.Path, error) bool) {
 		v := e.capture()
-		constrained := req.Accumulate != nil || req.Sequence != nil
-		r, err := e.classify(v, req.Query(), constrained)
+		r, err := e.classify(v, req.Query(), req.Accumulate != nil || req.Sequence != nil)
 		if err != nil {
 			yield(nil, err)
 			return
@@ -572,10 +582,12 @@ func (e *Engine) runPhased(ctx context.Context, v *view, r route, req pathenum.R
 			mergeRes(pres)
 		}
 	case routeCross:
-		// Phase A: the boundary join over the single-crossing class.
+		// Phase A: the boundary join over the single-crossing class. Its
+		// O(k) buffers get the executor's hop clamp: no simple path has
+		// more than |V|-1 edges.
 		cj := &crossJoin{
 			gA: v.subs[r.a], gB: v.subs[r.b], cuts: v.cuts[r.a][r.b],
-			s: req.S, t: req.T, k: req.K,
+			s: req.S, t: req.T, k: min(req.K, v.full.NumVertices()-1),
 			pred: merged.Predicate, ctx: ctx, deadline: deadline,
 			emit: func(p []graph.VertexID) bool {
 				cp := make(pathenum.Path, len(p))
@@ -678,7 +690,7 @@ func (e *Engine) Execute(q pathenum.Query) (*pathenum.Result, error) {
 // stream yields.
 func (e *Engine) ExecuteWith(ctx context.Context, q pathenum.Query, opts pathenum.Options) (*pathenum.Result, error) {
 	v := e.capture()
-	r, err := e.classify(v, q, false)
+	r, err := e.classify(v, q, constrained(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -701,40 +713,6 @@ func (e *Engine) ExecuteWith(ctx context.Context, q pathenum.Query, opts pathenu
 	return res, nil
 }
 
-// ExecuteAll runs the queries across the shard pools in input order.
-func (e *Engine) ExecuteAll(queries []pathenum.Query) ([]*pathenum.Result, []error) {
-	return e.ExecuteAllContext(context.Background(), queries, pathenum.Options{})
-}
-
-// ExecuteAllContext mirrors pathenum.Engine.ExecuteAllContext: an
-// independent fan-out bounded by the aggregate worker count, fail-fast
-// on ctx.
-func (e *Engine) ExecuteAllContext(ctx context.Context, queries []pathenum.Query, opts pathenum.Options) ([]*pathenum.Result, []error) {
-	results := make([]*pathenum.Result, len(queries))
-	errs := make([]error, len(queries))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, e.totalWorkers())
-dispatch:
-	for i, q := range queries {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			for j := i; j < len(queries); j++ {
-				errs[j] = ctx.Err()
-			}
-			break dispatch
-		}
-		wg.Add(1)
-		go func(i int, q pathenum.Query) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = e.ExecuteWith(ctx, q, opts)
-		}(i, q)
-	}
-	wg.Wait()
-	return results, errs
-}
-
 // ExecuteBatch routes a batch by shard: queries confined to one shard
 // run through that shard's shared-computation batch subsystem (dedup,
 // shared frontiers) as one sub-batch, concurrently across shards; the
@@ -750,7 +728,7 @@ func (e *Engine) ExecuteBatch(ctx context.Context, queries []pathenum.Query, opt
 	perShard := make(map[int][]int)
 	var singles []int
 	for i, q := range queries {
-		r, err := e.classify(v, q, false)
+		r, err := e.classify(v, q, constrained(opts))
 		if err != nil {
 			errs[i] = err
 			stats.Invalid++

@@ -194,6 +194,34 @@ func TestShardPredicateAgreement(t *testing.T) {
 	diffSets(t, "predicate", want, got)
 }
 
+// Constrained requests route whole to the fallback engine from every
+// entry point: the seam join carries no DFA state across the cut.
+func TestShardConstrainedAgreement(t *testing.T) {
+	g := testGraph(19)
+	e := newShardEngine(t, g, 2)
+	_, cross := pickQueries(t, e, g, 4, 43)
+	dfa, err := pathenum.AtLeastCountDFA(2, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := &pathenum.SequenceConstraint{Automaton: dfa, Label: func(from, to pathenum.VertexID) pathenum.Label {
+		return pathenum.Label((from*7 + to*13) % 2)
+	}}
+	req := pathenum.Request{S: cross.S, T: cross.T, K: cross.K, Sequence: seq}
+	want := singleSet(t, g, req)
+	if all := singleSet(t, g, pathenum.Request{S: cross.S, T: cross.T, K: cross.K}); len(want) == 0 || len(want) == len(all) {
+		t.Fatalf("constraint keeps %d of %d paths; the test needs a selective one", len(want), len(all))
+	}
+	diffSets(t, "sequence stream", want, collect(t, e.Stream(context.Background(), req)))
+	res, err := e.ExecuteWith(context.Background(), cross, pathenum.Options{Sequence: seq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counters.Results != uint64(len(want)) {
+		t.Fatalf("sequence ExecuteWith counted %d, want %d", res.Counters.Results, len(want))
+	}
+}
+
 // Insert must route to the owning structures, advance the composite
 // epoch, and keep the differential after the mutation.
 func TestShardInsertRouting(t *testing.T) {

@@ -44,7 +44,8 @@
 // a first-class, version-enforced scenario.
 //
 // The package also implements the paper's constraint extensions (edge
-// predicates, accumulative values, label-sequence automata), dynamic-graph
+// predicates, and accumulative values and label-sequence automata carried
+// by the index DFS — Options.Accumulate, Options.Sequence), dynamic-graph
 // workflows, every baseline from the paper's evaluation and a benchmark
 // harness that regenerates each of its tables and figures; see DESIGN.md
 // and EXPERIMENTS.md.
@@ -108,8 +109,6 @@ type (
 
 // Re-exported constraint types (Appendix E extensions).
 type (
-	// Constraints bundles the optional query extensions.
-	Constraints = core.Constraints
 	// EdgePredicate filters edges.
 	EdgePredicate = core.EdgePredicate
 	// PredicateToken is the caller-declared identity of an EdgePredicate,
@@ -200,12 +199,6 @@ func Paths(g *Graph, q Query, limit uint64) ([][]VertexID, error) {
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-// EnumerateConstrained executes q under the Appendix-E constraint
-// extensions with the constrained index DFS.
-func EnumerateConstrained(g *Graph, q Query, cons Constraints, ctl RunControl) (*Result, error) {
-	return core.RunConstrained(g, q, cons, ctl)
 }
 
 // NewDFA creates a constraint automaton with the given state and label

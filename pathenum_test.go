@@ -2,6 +2,7 @@ package pathenum
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -152,9 +153,9 @@ func TestCyclesThroughEdgeValidation(t *testing.T) {
 func TestEnumerateConstrained(t *testing.T) {
 	g := diamond(t)
 	// Forbid edge (0,1): only the path through 2 remains.
-	res, err := EnumerateConstrained(g, Query{S: 0, T: 3, K: 3}, Constraints{
+	res, err := Enumerate(g, Query{S: 0, T: 3, K: 3}, Options{
 		Predicate: func(u, v VertexID) bool { return !(u == 0 && v == 1) },
-	}, RunControl{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +173,9 @@ func TestConstrainedWithDFA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EnumerateConstrained(g, Query{S: 0, T: 3, K: 3}, Constraints{
+	res, err := Enumerate(g, Query{S: 0, T: 3, K: 3}, Options{
 		Sequence: &SequenceConstraint{Automaton: dfa, Label: lbl},
-	}, RunControl{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,5 +194,47 @@ func TestExactSequenceDFAHelper(t *testing.T) {
 	}
 	if _, err := NewDFA(0, 1, 0); err == nil {
 		t.Fatal("NewDFA with zero states: expected error")
+	}
+}
+
+// TestHopBoundClamped: a simple path on |V| vertices has at most |V|-1
+// edges, so the pipeline clamps larger hop bounds. On the 4-vertex
+// diamond, k=2^20 must allocate exactly what k=3 does and count the same
+// paths, while Result.Query keeps the caller's k.
+func TestHopBoundClamped(t *testing.T) {
+	g := diamond(t)
+	measure := func(k int) (count uint64, allocs float64, bytesPerRun uint64) {
+		q := Query{S: 0, T: 3, K: k}
+		run := func() {
+			n, err := Count(g, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			count = n
+		}
+		allocs = testing.AllocsPerRun(20, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 20; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return count, allocs, (after.TotalAlloc - before.TotalAlloc) / 20
+	}
+	small, smallAllocs, smallBytes := measure(3)
+	big, bigAllocs, bigBytes := measure(1 << 20)
+	if big != small || small != 2 {
+		t.Fatalf("k=2^20 counted %d paths, k=3 %d (want 2)", big, small)
+	}
+	if bigAllocs != smallAllocs || bigBytes > smallBytes+1024 {
+		t.Fatalf("k=2^20 allocates %.0f objects / %d B per run, k=3 %.0f / %d B",
+			bigAllocs, bigBytes, smallAllocs, smallBytes)
+	}
+	res, err := Enumerate(g, Query{S: 0, T: 3, K: 1 << 20}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Query.K != 1<<20 {
+		t.Fatalf("Result.Query.K = %d, want the caller's 2^20", res.Query.K)
 	}
 }

@@ -18,9 +18,9 @@ type Path = []VertexID
 
 // Request is the streaming-first query surface: one value bundling the
 // query endpoints, the per-request options and the constraint extensions
-// that the older entry points spread across (Query, Options, Constraints)
-// parameter triples. The zero value of every field is "inherit or off";
-// a Request is ready as soon as S, T and K are set.
+// that the older entry points spread across (Query, Options) parameter
+// pairs. The zero value of every field is "inherit or off"; a Request is
+// ready as soon as S, T and K are set.
 //
 //	for path, err := range engine.Stream(ctx, pathenum.Request{S: s, T: t, K: 6}) {
 //		if err != nil { ... }
@@ -35,7 +35,7 @@ type Request struct {
 
 	// Method selects the algorithm; Auto (the zero value) enables the
 	// cost-based optimizer. Ignored by constrained requests, which always
-	// run the constrained index DFS.
+	// run the index DFS.
 	Method Method
 	// Tau overrides the optimizer's preliminary-estimate threshold
 	// (0 = DefaultTau).
@@ -59,15 +59,13 @@ type Request struct {
 	// or the DFS's first-hop subtrees shard across workers and merge back
 	// into the single delivery stream, with Limit enforced at the merge —
 	// n results means n total, not n per shard — and identical counters
-	// on completed runs. The engine caps the value at its worker count;
-	// constrained requests ignore it (the constrained DFS is sequential).
+	// on completed runs. The engine caps the value at its worker count.
 	// See Options.Parallelism.
 	Parallelism int
 
-	// Accumulate and Sequence are the Appendix-E constraint extensions.
-	// Setting either routes the request through the constrained index
-	// DFS (the pipeline behind EnumerateConstrained); Predicate applies
-	// there too.
+	// Accumulate and Sequence are the Appendix-E constraint extensions
+	// (see Options.Accumulate). Setting either plans the index DFS, which
+	// carries their state through the recursion.
 	Accumulate *Accumulator
 	Sequence   *SequenceConstraint
 
@@ -92,10 +90,6 @@ func NewRequest(q Query) Request { return Request{S: q.S, T: q.T, K: q.K} }
 // Query returns the request's (s, t, k) triple.
 func (r Request) Query() Query { return Query{S: r.S, T: r.T, K: r.K} }
 
-// constrained reports whether the request needs the constrained DFS
-// pipeline.
-func (r Request) constrained() bool { return r.Accumulate != nil || r.Sequence != nil }
-
 // options lowers the request to the per-call option overrides understood
 // by the executor spine (Emit stays nil: the stream's yield is the emit).
 func (r Request) options() Options {
@@ -108,6 +102,8 @@ func (r Request) options() Options {
 		PredicateToken: r.PredicateToken,
 		Oracle:         r.Oracle,
 		Parallelism:    r.Parallelism,
+		Accumulate:     r.Accumulate,
+		Sequence:       r.Sequence,
 	}
 }
 
@@ -122,15 +118,11 @@ func (r Request) streamConfig() core.StreamConfig {
 // engine oracle; prefer it for repeated queries). See Engine.Stream for
 // the iteration contract.
 func Stream(ctx context.Context, g *Graph, req Request) iter.Seq2[Path, error] {
-	// Building the stream runs nothing (both constructors are lazy), so
+	// Building the stream runs nothing (StreamWith is lazy), so
 	// it happens here rather than inside the iterator: under iter.Pull2
 	// the iterator runs the whole enumeration on a fresh coroutine stack
 	// that grows by copying, and every local this frame would pin there
 	// makes that growth more likely.
-	if req.constrained() {
-		cons := Constraints{Predicate: req.Predicate, Accumulate: req.Accumulate, Sequence: req.Sequence}
-		return core.StreamConstrained(ctx, g, req.Query(), cons, req.options(), req.streamConfig())
-	}
 	return core.NewSession(g, nil).StreamWith(ctx, req.Query(), req.options(), req.streamConfig())
 }
 
@@ -189,9 +181,8 @@ func (e *Engine) Stream(ctx context.Context, req Request) iter.Seq2[Path, error]
 }
 
 // streamLease is what an engine stream must give back when its iteration
-// ends: the load-tracking slot and, for unconstrained runs, the pooled
-// session. A value, not a deferred closure pair, so ending a stream
-// allocates nothing.
+// ends: the load-tracking slot and the pooled session. A value, not a
+// deferred closure pair, so ending a stream allocates nothing.
 type streamLease struct {
 	release func()
 	pool    *sync.Pool
@@ -199,9 +190,7 @@ type streamLease struct {
 }
 
 func (l *streamLease) end() {
-	if l.pool != nil {
-		l.pool.Put(l.sess)
-	}
+	l.pool.Put(l.sess)
 	l.release()
 }
 
@@ -221,19 +210,10 @@ func (e *Engine) startStream(ctx context.Context, req Request) (iter.Seq2[Path, 
 	// total anchored at Began so they cover the engine's own dispatch.
 	sc.Began = start
 	sc.Observer = &e.metrics.streamObs
-	par := merged.Parallelism
-	if req.constrained() {
-		par = 0 // the constrained DFS runs sequentially
-	}
-	lease := streamLease{release: e.track(par)}
-	if req.constrained() {
-		cons := Constraints{Predicate: merged.Predicate, Accumulate: req.Accumulate, Sequence: req.Sequence}
-		return core.StreamConstrained(ctx, e.Graph(), req.Query(), cons, merged, sc), lease
-	}
+	release := e.track(merged.Parallelism)
 	g, oracle, pool := e.view()
 	sc.Fwd, sc.Bwd = e.frontiers(ctx, g, oracle, req.Query(), merged)
-	lease.pool = pool
-	lease.sess = pool.Get().(*core.Session)
+	lease := streamLease{release: release, pool: pool, sess: pool.Get().(*core.Session)}
 	return lease.sess.StreamWith(ctx, req.Query(), merged, sc), lease
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"pathenum/internal/baseline"
 	"pathenum/internal/core"
 	"pathenum/internal/gen"
 )
@@ -186,8 +187,12 @@ func TestEngineStreamError(t *testing.T) {
 	}
 }
 
-// TestEngineStreamConstrained: a Request with constraints routes through
-// the constrained DFS and matches EnumerateConstrained.
+// TestEngineStreamConstrained: a Request with constraints runs through
+// the engine's pipeline and matches the constrained Enumerate. Then, as a
+// differential check, an accumulator with pruning, a sequence DFA and
+// both together stream through Engine.Stream on a plain, a landmark and
+// a memory-budgeted engine at parallelism 1, 2 and 4, and each path set
+// must equal the whole-tuple post-filter of the brute-force oracle.
 func TestEngineStreamConstrained(t *testing.T) {
 	g, q := layeredTestGraph(t, 3, 3)
 	e, err := NewEngine(g, EngineConfig{})
@@ -195,9 +200,8 @@ func TestEngineStreamConstrained(t *testing.T) {
 		t.Fatal(err)
 	}
 	pred := func(u, v VertexID) bool { return !(u == 0 && v == 1) }
-	cons := Constraints{Predicate: pred}
 	var want []string
-	if _, err := EnumerateConstrained(g, q, cons, RunControl{Emit: func(p []VertexID) bool {
+	if _, err := Enumerate(g, q, Options{Predicate: pred, Emit: func(p []VertexID) bool {
 		want = append(want, keyOfPath(p))
 		return true
 	}}); err != nil {
@@ -228,6 +232,77 @@ func TestEngineStreamConstrained(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("path %d: %q vs %q", i, got[i], want[i])
+		}
+	}
+
+	weight := func(u, v VertexID) float64 { return float64((int(u)*31+int(v)*17)%5) + 1 }
+	pruned := &Accumulator{
+		Value:   weight,
+		Combine: func(a, b float64) float64 { return a + b },
+		Accept:  func(total float64) bool { return total <= 9 },
+		Prune:   func(partial float64, _ int) bool { return partial > 9 },
+	}
+	dfa, err := AtLeastCountDFA(2, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := &SequenceConstraint{Automaton: dfa, Label: func(u, v VertexID) Label { return Label((u + v) % 2) }}
+	cases := []struct {
+		name string
+		acc  *Accumulator
+		seq  *SequenceConstraint
+	}{{"accumulate+prune", pruned, nil}, {"sequence", nil, seq}, {"both", pruned, seq}}
+	// The whole-tuple post-filter, replayed independently of the engine
+	// (the AtLeastCount DFA is total, so every step stays valid).
+	qualifies := func(acc *Accumulator, sc *SequenceConstraint, p []VertexID) bool {
+		total, state := 0.0, dfa.Start()
+		for i := 0; i+1 < len(p); i++ {
+			total += weight(p[i], p[i+1])
+			state = dfa.Step(state, seq.Label(p[i], p[i+1]))
+		}
+		return (acc == nil || acc.Accept(total)) && (sc == nil || dfa.Accepting(state))
+	}
+
+	g2 := gen.BarabasiAlbert(120, 4, 31)
+	oracle, err := BuildOracle(g2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := map[string]EngineConfig{
+		"plain":     {Workers: 4},
+		"landmarks": {Workers: 4, Oracle: oracle},
+		"budget":    {Workers: 4, MemoryBudgetBytes: 1},
+	}
+	for name, cfg := range engines {
+		eng, err := NewEngine(g2, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pq := range []Query{{S: 0, T: 1, K: 4}, {S: 5, T: 2, K: 4}, {S: 60, T: 3, K: 5}} {
+			for _, c := range cases {
+				var oracleSet []string
+				for _, p := range baseline.BrutePaths(g2, pq.S, pq.T, pq.K) {
+					if qualifies(c.acc, c.seq, p) {
+						oracleSet = append(oracleSet, keyOfPath(p))
+					}
+				}
+				sort.Strings(oracleSet)
+				for _, par := range []int{1, 2, 4} {
+					r := NewRequest(pq)
+					r.Accumulate, r.Sequence, r.Parallelism = c.acc, c.seq, par
+					var streamed []string
+					for p, serr := range eng.Stream(context.Background(), r) {
+						if serr != nil {
+							t.Fatal(serr)
+						}
+						streamed = append(streamed, keyOfPath(p))
+					}
+					sort.Strings(streamed)
+					if strings.Join(streamed, " ") != strings.Join(oracleSet, " ") {
+						t.Fatalf("%s %v %s p%d: %d paths, oracle %d", name, pq, c.name, par, len(streamed), len(oracleSet))
+					}
+				}
+			}
 		}
 	}
 }
