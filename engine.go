@@ -817,11 +817,12 @@ func (e *Engine) MergeOptions(opts Options) Options {
 
 // PoolStats snapshots the engine's worker-pool occupancy: the configured
 // worker count, the queries currently executing through the single-query
-// entry points (ExecuteWith, Engine.Stream and the ExecuteAll fan-outs
-// riding on them) and the intra-query parallel enumeration shards those
-// queries have fanned out (Options.Parallelism > 1 counts its full merged
-// fan-out for the duration of the run). ExecuteBatch's scheduler manages
-// its own workers and is not reflected in the query gauge.
+// entry points (ExecuteWith, Engine.Stream and the ExecuteAllContext
+// fan-out riding on them) and the intra-query parallel enumeration shards
+// those queries have fanned out (Options.Parallelism > 1 counts its full
+// merged fan-out for the duration of the run). The batch scheduler behind
+// ExecuteBatch and StreamBatch manages its own workers and is not
+// reflected in the query gauge.
 type PoolStats struct {
 	// Workers is EngineConfig.Workers after defaulting.
 	Workers int
@@ -873,22 +874,17 @@ func (e *Engine) track(parallelism int) func() {
 	}
 }
 
-// ExecuteAll runs the queries across the worker pool and returns results
-// in input order. The per-result error slot is set for invalid queries;
-// valid ones always produce a Result.
-func (e *Engine) ExecuteAll(queries []Query) ([]*Result, []error) {
-	return e.ExecuteAllContext(context.Background(), queries, Options{})
-}
-
-// ExecuteAllContext runs the queries across the worker pool with shared
-// per-call option overrides, observing ctx with fail-fast cancellation:
-// once ctx is done, queries not yet started return ctx.Err() immediately
-// and in-flight enumerations stop early. Results come back in input order;
+// ExecuteAllContext is the naive batch baseline: every query runs
+// independently through ExecuteWith across the worker pool, with no
+// dedup and no shared frontiers. It exists so benchmarks can price
+// ExecuteBatch's sharing against it; serve batches with ExecuteBatch or
+// StreamBatch. It observes ctx with fail-fast cancellation: once ctx is
+// done, queries not yet started return ctx.Err() immediately and
+// in-flight enumerations stop early. Results come back in input order;
 // per-query validation errors fill their slot without aborting the batch.
 //
 // opts.Emit, if set, may be invoked concurrently from multiple workers and
-// does not identify the originating query; batch callers normally leave it
-// nil and read counts from the Results.
+// does not identify the originating query.
 func (e *Engine) ExecuteAllContext(ctx context.Context, queries []Query, opts Options) ([]*Result, []error) {
 	results := make([]*Result, len(queries))
 	errs := make([]error, len(queries))
@@ -960,57 +956,25 @@ func (p *frontierCacheProvider) Store(f *core.Frontier, uses int) bool {
 }
 
 // ExecuteBatch runs the queries through the shared-computation batch
-// subsystem (internal/batch): exact-duplicate queries are answered once
-// and fanned back out, queries sharing a source or target reuse one
-// shared BFS frontier for that side of their index build, and the
-// resulting groups execute across the worker pool in estimated-cost
-// order. With the frontier cache enabled the scheduler consults it before
-// building any frontier and deposits what it builds, so a repeat batch
-// over the same hubs executes with zero BFS passes
+// subsystem (internal/batch) and returns the results in input order: it
+// is CollectBatch over the same execution StreamBatch delivers, counted
+// under op="batch" instead of op="stream_batch". Exact-duplicate queries
+// are answered once and fanned back out, queries sharing a source or
+// target reuse one shared BFS frontier for that side of their index
+// build, and the resulting groups execute across the worker pool in
+// estimated-cost order. With the frontier cache enabled the scheduler
+// consults it before building any frontier and deposits what it builds,
+// so a repeat batch over the same hubs executes with zero BFS passes
 // (BatchStats.BFSPassesRun and the cache hit counters make this visible).
-// Results come back in input order with ExecuteAllContext's fail-fast
-// cancellation semantics; the naive independent fan-out remains available
-// as ExecuteAllContext.
+// Cancellation is fail-fast: once ctx is done, queries not yet started
+// carry ctx.Err() and in-flight enumerations stop early.
 //
-// Two semantic differences from ExecuteAllContext follow from sharing:
-// duplicate queries receive the same *Result pointer (treat Results as
-// read-only), and opts.Emit — already concurrent and unattributed in
+// Two semantic differences from the naive ExecuteAllContext follow from
+// sharing: duplicate queries receive the same *Result pointer (treat
+// Results as read-only), and opts.Emit — concurrent and unattributed in
 // batch execution — fires once per unique query, not once per duplicate.
 func (e *Engine) ExecuteBatch(ctx context.Context, queries []Query, opts Options) ([]*Result, []error, *BatchStats) {
-	e.metrics.requests[opBatch].Inc()
-	e.metrics.batchQueries.Add(uint64(len(queries)))
-	start := time.Now()
-	g, _, pool := e.view()
-	merged := e.MergeOptions(opts)
-	sch := e.newScheduler(g, pool, merged)
-	plan := batch.NewPlanner(g).Plan(queries)
-	uniqRes, uniqErrs, stats := sch.Execute(ctx, g, plan, merged)
-	// Batch runs bypass ExecuteWith, so their stage timings fold in here —
-	// once per unique execution, not per duplicate.
-	for _, res := range uniqRes {
-		e.metrics.observeRun(res)
-	}
-	e.metrics.latency[opBatch].Observe(time.Since(start))
-	results, errs := plan.Scatter(uniqRes, uniqErrs)
-	return results, errs, stats
-}
-
-// newScheduler builds a batch scheduler over the captured (graph, pool)
-// view, wiring the frontier cache in when the predicate is identifiable.
-// Shared by the materializing ExecuteBatch and the streaming StreamBatch.
-func (e *Engine) newScheduler(g *Graph, pool *sync.Pool, merged Options) *batch.Scheduler {
-	sch := &batch.Scheduler{
-		Workers: e.workers,
-		Acquire: func() *core.Session { return pool.Get().(*core.Session) },
-		Release: func(s *core.Session) { pool.Put(s) },
-	}
-	if e.cache != nil && (merged.Predicate == nil || merged.PredicateToken != core.PredicateNone) {
-		sch.Frontiers = &frontierCacheProvider{
-			c: e.cache, g: g, ver: g.Version(), tok: merged.PredicateToken,
-			admit: e.admitDegree(),
-		}
-	}
-	return sch
+	return CollectBatch(e.streamBatch(ctx, queries, opts, opBatch), len(queries))
 }
 
 // admitDegree resolves EngineConfig.CacheAdmitDegree with its default.
@@ -1020,18 +984,4 @@ func (e *Engine) admitDegree() int {
 		admit = DefaultCacheAdmitDegree
 	}
 	return admit
-}
-
-// CountAll returns per-query path counts in input order; the first query
-// error aborts the batch.
-func (e *Engine) CountAll(queries []Query) ([]uint64, error) {
-	results, errs := e.ExecuteAll(queries)
-	counts := make([]uint64, len(queries))
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("pathenum: query %d (%v): %w", i, queries[i], err)
-		}
-		counts[i] = results[i].Counters.Results
-	}
-	return counts, nil
 }

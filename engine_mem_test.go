@@ -23,19 +23,13 @@ func TestEngineMemBudgetPathEquality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := base.CountAll(queries)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := batchCounts(t, base, queries)
 		for _, budget := range []int64{8 * scratch, scratch + 64, 1} {
 			e, err := NewEngine(g, EngineConfig{Workers: 4, MemoryBudgetBytes: budget})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.CountAll(queries)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := batchCounts(t, e, queries)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("seed %d budget %d query %d (%v): budgeted %d, unbudgeted %d",
@@ -103,9 +97,7 @@ func TestEngineMemStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.CountAll(engineQueries(16, 3, g.NumVertices())); err != nil {
-		t.Fatal(err)
-	}
+	batchCounts(t, e, engineQueries(16, 3, g.NumVertices()))
 	ms := e.MemStats()
 	if ms.BudgetBytes != 4*scratch {
 		t.Fatalf("BudgetBytes = %d, want %d", ms.BudgetBytes, 4*scratch)

@@ -28,6 +28,21 @@ func engineQueries(n int, seed int64, numVertices int) []Query {
 	return qs
 }
 
+// batchCounts runs the queries as one ExecuteBatch and returns the path
+// counts in input order, failing the test on any query error.
+func batchCounts(t *testing.T, e *Engine, queries []Query) []uint64 {
+	t.Helper()
+	results, errs, _ := e.ExecuteBatch(context.Background(), queries, Options{})
+	counts := make([]uint64, len(queries))
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("query %d (%v): %v", i, queries[i], err)
+		}
+		counts[i] = results[i].Counters.Results
+	}
+	return counts
+}
+
 func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(nil, EngineConfig{}); err == nil {
 		t.Fatal("nil graph: expected error")
@@ -71,10 +86,7 @@ func TestEngineMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts, err := e.CountAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	counts := batchCounts(t, e, queries)
 	for i, q := range queries {
 		want, err := Count(g, q)
 		if err != nil {
@@ -101,14 +113,8 @@ func TestEngineWithOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := plain.CountAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := fast.CountAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := batchCounts(t, plain, queries)
+	b := batchCounts(t, fast, queries)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("query %d: plain %d, oracle %d", i, a[i], b[i])
@@ -123,15 +129,15 @@ func TestEngineInvalidQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := []Query{{S: 0, T: 1, K: 3}, {S: 2, T: 2, K: 3}}
-	results, errs := e.ExecuteAll(queries)
+	results, errs, stats := e.ExecuteBatch(context.Background(), queries, Options{})
 	if errs[0] != nil || results[0] == nil {
 		t.Fatal("valid query must succeed")
 	}
-	if errs[1] == nil {
-		t.Fatal("invalid query must carry an error")
+	if errs[1] == nil || results[1] != nil {
+		t.Fatal("invalid query must carry an error and no result")
 	}
-	if _, err := e.CountAll(queries); err == nil {
-		t.Fatal("CountAll must surface the error")
+	if stats == nil || stats.Invalid != 1 {
+		t.Fatalf("stats %+v, want Invalid == 1", stats)
 	}
 }
 
@@ -308,7 +314,5 @@ func TestEngineRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := engineQueries(100, 31, g.NumVertices())
-	if _, err := e.CountAll(queries); err != nil {
-		t.Fatal(err)
-	}
+	batchCounts(t, e, queries)
 }

@@ -101,12 +101,16 @@ func ExampleEngine() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	counts, err := engine.CountAll([]pathenum.Query{
+	results, errs, _ := engine.ExecuteBatch(context.Background(), []pathenum.Query{
 		{S: 0, T: 3, K: 3},
 		{S: 3, T: 1, K: 2},
-	})
-	if err != nil {
-		log.Fatal(err)
+	}, pathenum.Options{})
+	counts := make([]uint64, len(results))
+	for i, res := range results {
+		if errs[i] != nil {
+			log.Fatal(errs[i])
+		}
+		counts[i] = res.Counters.Results
 	}
 	fmt.Println(counts)
 	// Output: [2 1]

@@ -20,9 +20,12 @@
 //	           a worker pool, recording per-batch Stats (queries deduped,
 //	           BFS passes saved, per-group timings).
 //
-// The public surface is Engine.ExecuteBatch in the root package;
-// Engine.ExecuteAllContext remains the naive independent fan-out and is
-// the baseline the batch benchmarks compare against.
+// The public surface is Engine.StreamBatch in the root package, the one
+// batch executor; Engine.ExecuteBatch drains it into input order, and the
+// sharded engine routes each shard's confined queries to that shard's
+// StreamBatch as one sub-batch. Engine.ExecuteAllContext is the naive
+// independent fan-out, kept as the baseline the batch benchmarks compare
+// against.
 package batch
 
 import (

@@ -260,32 +260,10 @@ func groupCost(g *graph.Graph, hub graph.VertexID, maxK, size int) float64 {
 	return float64(size*maxK) * (1 + math.Log1p(float64(g.Degree(hub))))
 }
 
-// Err returns the validation error recorded for original batch position i
-// (nil when the query at i is valid).
-func (p *Plan) Err(i int) error { return p.invalid[i] }
-
 // Invalid returns the per-original-position validation errors (nil slots
 // are valid queries). Streaming consumers use it to deliver rejections
 // before execution starts; the slice is owned by the plan — read only.
 func (p *Plan) Invalid() []error { return p.invalid }
-
-// Scatter fans per-unique results back out to original batch positions:
-// duplicate queries share the same *core.Result pointer (results must be
-// treated as read-only), and invalid positions carry their validation
-// error. results and errs must be len(p.Unique), as produced by the
-// Scheduler.
-func (p *Plan) Scatter(results []*core.Result, errs []error) ([]*core.Result, []error) {
-	outRes := make([]*core.Result, p.Queries)
-	outErr := make([]error, p.Queries)
-	copy(outErr, p.invalid)
-	for u, slots := range p.Slots {
-		for _, i := range slots {
-			outRes[i] = results[u]
-			outErr[i] = errs[u]
-		}
-	}
-	return outRes, outErr
-}
 
 // Stats seeds the batch Stats with the planner-level accounting: dedup
 // counts and the nominal BFS pass arithmetic. The scheduler fills in the

@@ -120,20 +120,29 @@ func TestPlanInvalidQueries(t *testing.T) {
 		t.Fatalf("Invalid = %d, want 3", st.Invalid)
 	}
 	for i := 1; i <= 3; i++ {
-		if plan.Err(i) == nil {
+		if plan.Invalid()[i] == nil {
 			t.Errorf("position %d: expected validation error", i)
 		}
 	}
-	// Scatter must surface the validation errors in-place.
-	res, errs := plan.Scatter([]*core.Result{{}}, []error{nil})
-	if res[0] == nil || errs[0] != nil {
-		t.Error("valid slot mangled by Scatter")
+	// Invalid positions are never slots of a unique execution.
+	if len(plan.Slots) != 1 || len(plan.Slots[0]) != 1 || plan.Slots[0][0] != 0 {
+		t.Errorf("Slots = %v, want only position 0", plan.Slots)
 	}
-	for i := 1; i <= 3; i++ {
-		if errs[i] == nil || res[i] != nil {
-			t.Errorf("invalid slot %d not carried through Scatter", i)
+}
+
+// scatter fans per-unique scheduler results back out to original batch
+// positions: duplicates share one *core.Result, invalid positions carry
+// their validation error.
+func scatter(p *Plan, results []*core.Result, errs []error) ([]*core.Result, []error) {
+	outRes := make([]*core.Result, p.Queries)
+	outErr := make([]error, p.Queries)
+	copy(outErr, p.Invalid())
+	for u, slots := range p.Slots {
+		for _, i := range slots {
+			outRes[i], outErr[i] = results[u], errs[u]
 		}
 	}
+	return outRes, outErr
 }
 
 // TestPlanCostOrder: groups come back sorted by descending cost so the

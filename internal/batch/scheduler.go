@@ -261,9 +261,8 @@ type execState struct {
 }
 
 // Execute runs the plan's work queue across the worker pool with
-// fail-fast cancellation mirroring Engine.ExecuteAllContext: once ctx is
-// done, members not yet started return ctx.Err() immediately and
-// in-flight enumerations stop early.
+// fail-fast cancellation: once ctx is done, members not yet started
+// settle with ctx.Err() and in-flight enumerations stop early.
 //
 // Scheduling is two-phase per group. Each group's probe task — ordered by
 // the planner's static cost, most expensive first — resolves the shared
@@ -276,8 +275,8 @@ type execState struct {
 // requires an identifiable predicate: when opts.Predicate is non-nil with
 // a zero PredicateToken, the shared pool is disabled and every member
 // runs independently (correct, no reuse). Results and errors come back
-// indexed by plan.Unique (use Plan.Scatter to fan them out to original
-// batch positions); the returned Stats carry the planner accounting plus
+// indexed by plan.Unique (Plan.Slots maps each to its original batch
+// positions); the returned Stats carry the planner accounting plus
 // wall timings, actual pass counts and cache hit/miss counters.
 func (sch *Scheduler) Execute(ctx context.Context, g *graph.Graph, plan *Plan, opts core.Options) ([]*core.Result, []error, *Stats) {
 	workers := sch.Workers

@@ -67,7 +67,7 @@ func TestExecuteMatchesSequential(t *testing.T) {
 		sch := newTestScheduler(g, 1+rng.Intn(4))
 
 		uniqRes, uniqErrs, stats := sch.Execute(ctx, g, plan, core.Options{})
-		results, errs := plan.Scatter(uniqRes, uniqErrs)
+		results, errs := scatter(plan, uniqRes, uniqErrs)
 
 		for i, q := range queries {
 			if q.Validate(g) != nil {
@@ -113,7 +113,7 @@ func TestExecutePredicateBatch(t *testing.T) {
 	if stats.BFSPassesRun != 2*stats.Unique {
 		t.Fatalf("opaque predicate must run 2 passes per unique query, ran %d for %d", stats.BFSPassesRun, stats.Unique)
 	}
-	results, errs := plan.Scatter(uniqRes, uniqErrs)
+	results, errs := scatter(plan, uniqRes, uniqErrs)
 	for i, q := range queries {
 		if errs[i] != nil {
 			t.Fatal(errs[i])

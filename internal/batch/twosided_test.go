@@ -134,7 +134,7 @@ func TestExecuteTwoSidedDifferential(t *testing.T) {
 	}
 	check := func(name string, uniqRes []*core.Result, uniqErrs []error) {
 		t.Helper()
-		results, errs := plan.Scatter(uniqRes, uniqErrs)
+		results, errs := scatter(plan, uniqRes, uniqErrs)
 		for i := range queries {
 			if errs[i] != nil {
 				t.Fatalf("%s query %d: %v", name, i, errs[i])
@@ -197,7 +197,7 @@ func TestExecuteTwoSidedGroupShapes(t *testing.T) {
 	sch.Frontiers = newMapProvider()
 	for pass, wantWarm := range []bool{false, true} {
 		res, errsU, stats := sch.Execute(context.Background(), g, plan, core.Options{})
-		results, errs := plan.Scatter(res, errsU)
+		results, errs := scatter(plan, res, errsU)
 		for i, q := range queries {
 			if errs[i] != nil {
 				t.Fatalf("pass %d query %d: %v", pass, i, errs[i])

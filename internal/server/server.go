@@ -11,6 +11,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"iter"
@@ -339,10 +340,32 @@ type insertResponse struct {
 // maxInsertEdges bounds one POST /insert body.
 const maxInsertEdges = 10000
 
+// maxBodyBytes caps every request body before it is decoded, so an
+// oversized body is refused with 413 instead of being allocated first.
+// It leaves room for maxBatchQueries queries of about 400 bytes each; a
+// batch query with every numeric field at full int64 width is under 200.
+const maxBodyBytes = 4 << 20
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBodyBytes. On failure it answers 413 (body over the cap) or 400 and
+// returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	default:
+		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req insertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Edges) == 0 {
@@ -479,8 +502,7 @@ func parallelOverride(r *http.Request, body int) (int, error) {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	q, opts, err := s.parseQuery(req)
@@ -556,8 +578,7 @@ type doneLine struct {
 // closing the connection.
 func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	q, opts, err := s.parseQuery(req)
@@ -673,13 +694,24 @@ type batchResult struct {
 	Error     string `json:"error,omitempty"`
 }
 
+// toBatchResult converts one query's outcome to its response slot.
+func toBatchResult(res *pathenum.Result, err error) batchResult {
+	if err != nil {
+		return batchResult{Error: err.Error()}
+	}
+	return batchResult{
+		Count:     res.Counters.Results,
+		Completed: res.Completed,
+		Plan:      res.Plan.Method.String(),
+	}
+}
+
 // maxBatchQueries bounds one POST /batch body.
 const maxBatchQueries = 10000
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -728,16 +760,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	results, errs, stats := s.engine.ExecuteBatch(r.Context(), queries, opts)
 	var delivered uint64
 	for j, i := range slots {
-		if errs[j] != nil {
-			out[i].Error = errs[j].Error()
-			continue
-		}
-		out[i] = batchResult{
-			Count:     results[j].Counters.Results,
-			Completed: results[j].Completed,
-			Plan:      results[j].Plan.Method.String(),
-		}
-		delivered += results[j].Counters.Results
+		out[i] = toBatchResult(results[j], errs[j])
+		delivered += out[i].Count
 	}
 	annotate(r, "batch", delivered)
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -776,13 +800,11 @@ func (s *Server) toBatchStats(stats *pathenum.BatchStats, totalQueries, rejected
 
 // batchLine is one NDJSON line of a streaming /batch response: the result
 // (or error) of the query at the request's Index position, flushed as its
-// group completes.
+// group completes. The embedded slot keeps the field order of the
+// non-streaming response after the index.
 type batchLine struct {
-	Index     int    `json:"index"`
-	Count     uint64 `json:"count"`
-	Completed bool   `json:"completed"`
-	Plan      string `json:"plan,omitempty"`
-	Error     string `json:"error,omitempty"`
+	Index int `json:"index"`
+	batchResult
 }
 
 // batchDoneLine closes a streaming /batch response.
@@ -813,7 +835,7 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, opts pathen
 			continue
 		}
 		rejected++
-		if err := enc.Encode(batchLine{Index: i, Error: out[i].Error}); err != nil {
+		if err := enc.Encode(batchLine{Index: i, batchResult: out[i]}); err != nil {
 			return
 		}
 		flush()
@@ -833,15 +855,8 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, opts pathen
 			flush()
 			return
 		}
-		line := batchLine{Index: slots[item.Index]}
-		if item.Err != nil {
-			line.Error = item.Err.Error()
-		} else {
-			line.Count = item.Result.Counters.Results
-			line.Completed = item.Result.Completed
-			line.Plan = item.Result.Plan.Method.String()
-			delivered += line.Count
-		}
+		line := batchLine{Index: slots[item.Index], batchResult: toBatchResult(item.Result, item.Err)}
+		delivered += line.Count
 		if err := enc.Encode(line); err != nil {
 			return
 		}

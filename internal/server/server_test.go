@@ -675,6 +675,42 @@ func TestBatchMalformedBody(t *testing.T) {
 	}
 }
 
+// TestRequestBodyCap: every body-decoding endpoint refuses a body over
+// maxBodyBytes with 413, and a batch of maxBatchQueries full-width queries
+// still fits under the cap and answers 200.
+func TestRequestBodyCap(t *testing.T) {
+	ts := testServer(t, nil)
+	// Valid JSON so far: the decoder keeps reading the whitespace until
+	// the cap stops it.
+	over := `{"queries":[` + strings.Repeat(" ", maxBodyBytes) + `]}`
+	for _, path := range []string{"/query", "/paths", "/batch", "/insert"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(over))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status = %d, want 413", path, resp.StatusCode)
+		}
+	}
+
+	// One answerable query, then the widest numeric form of every field
+	// /batch decodes (rejected per slot, but legal on the wire).
+	wide := `{"s":-9223372036854775808,"t":-9223372036854775808,"k":-9223372036854775808,` +
+		`"method":"auto","limit":18446744073709551615,"paths":true,"timeout":"500ms","parallel":-9223372036854775808}`
+	body := `{"queries":[{"s":0,"t":3,"k":3}` + strings.Repeat(","+wide, maxBatchQueries-1) + `]}`
+	if len(body) > maxBodyBytes {
+		t.Fatalf("maximal batch is %d bytes, over the %d-byte cap", len(body), maxBodyBytes)
+	}
+	resp, br := postBatch(t, ts, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("maximal batch: status = %d, want 200", resp.StatusCode)
+	}
+	if len(br.Results) != maxBatchQueries || br.Results[0].Count != 2 || br.Results[1].Error == "" {
+		t.Fatalf("maximal batch: %d results, first %+v, second %+v", len(br.Results), br.Results[0], br.Results[1])
+	}
+}
+
 // TestBatchStreamNDJSON: "stream":true turns /batch into NDJSON with one
 // line per query (completion order, indexed back to request positions)
 // and a final done line carrying the stats.

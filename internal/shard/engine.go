@@ -713,86 +713,129 @@ func (e *Engine) ExecuteWith(ctx context.Context, q pathenum.Query, opts pathenu
 	return res, nil
 }
 
-// ExecuteBatch routes a batch by shard: queries confined to one shard
-// run through that shard's shared-computation batch subsystem (dedup,
-// shared frontiers) as one sub-batch, concurrently across shards; the
-// boundary-involved remainder fans out through the phased path. The
-// merged stats sum the per-shard planner reports, with routed singles
-// accounted as naive singletons.
+// ExecuteBatch is the input-order drain of StreamBatch.
 func (e *Engine) ExecuteBatch(ctx context.Context, queries []pathenum.Query, opts pathenum.Options) ([]*pathenum.Result, []error, *pathenum.BatchStats) {
-	start := time.Now()
-	results := make([]*pathenum.Result, len(queries))
-	errs := make([]error, len(queries))
-	stats := &pathenum.BatchStats{Queries: len(queries)}
-	v := e.capture()
-	perShard := make(map[int][]int)
-	var singles []int
-	for i, q := range queries {
-		r, err := e.classify(v, q, constrained(opts))
-		if err != nil {
-			errs[i] = err
-			stats.Invalid++
-			continue
-		}
-		e.m.observe(r)
-		if r.kind == routeIntra && !r.fallbackNeeded {
-			perShard[r.a] = append(perShard[r.a], i)
-		} else {
-			singles = append(singles, i)
-		}
-	}
-
-	var (
-		wg sync.WaitGroup
-		sm sync.Mutex // guards stats merging
-	)
-	for s, idxs := range perShard {
-		wg.Add(1)
-		go func(s int, idxs []int) {
-			defer wg.Done()
-			qs := make([]pathenum.Query, len(idxs))
-			for j, i := range idxs {
-				qs[j] = queries[i]
-			}
-			res, es, st := e.subs[s].ExecuteBatch(ctx, qs, opts)
-			for j, i := range idxs {
-				results[i], errs[i] = res[j], es[j]
-			}
-			if st != nil {
-				sm.Lock()
-				addBatchStats(stats, st)
-				sm.Unlock()
-			}
-		}(s, idxs)
-	}
-	sem := make(chan struct{}, e.totalWorkers())
-	for _, i := range singles {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			errs[i] = ctx.Err()
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = e.ExecuteWith(ctx, queries[i], opts)
-		}(i)
-	}
-	wg.Wait()
-	stats.Unique += len(singles)
-	stats.Groups += len(singles)
-	stats.Singletons += len(singles)
-	stats.BFSPassesNaive += 2 * len(singles)
-	stats.BFSPasses += 2 * len(singles)
-	stats.BFSPassesRun += 2 * len(singles)
-	stats.Elapsed = time.Since(start)
-	return results, errs, stats
+	return pathenum.CollectBatch(e.StreamBatch(ctx, queries, opts), len(queries))
 }
 
-// addBatchStats folds one shard sub-batch's planner report into the
-// merged stats (Queries/Invalid/Elapsed are batch-level and excluded).
+// StreamBatch routes a batch by shard and delivers per-query results in
+// completion order with the BatchItem contract of
+// pathenum.Engine.StreamBatch. Invalid queries are delivered first.
+// Queries confined to one shard run as one sub-batch through that shard's
+// StreamBatch (dedup, shared frontiers), concurrently across shards; the
+// boundary-involved rest fans out through ExecuteWith under the
+// totalWorkers semaphore. The final stats item sums the per-shard
+// sub-batch reports, with routed queries accounted as naive singletons.
+func (e *Engine) StreamBatch(ctx context.Context, queries []pathenum.Query, opts pathenum.Options) iter.Seq[pathenum.BatchItem] {
+	return func(yield func(pathenum.BatchItem) bool) {
+		start := time.Now()
+		stats := &pathenum.BatchStats{Queries: len(queries)}
+		v := e.capture()
+		perShard := make([][]int, e.p)
+		var singles []int
+		for i, q := range queries {
+			r, err := e.classify(v, q, constrained(opts))
+			if err != nil {
+				stats.Invalid++
+				if !yield(pathenum.BatchItem{Index: i, Err: err}) {
+					return
+				}
+				continue
+			}
+			if r.kind == routeIntra && !r.fallbackNeeded {
+				e.m.observe(r) // routed singles are observed by ExecuteWith
+				perShard[r.a] = append(perShard[r.a], i)
+			} else {
+				singles = append(singles, i)
+			}
+		}
+
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		// Full-size buffer: workers never block on a slow consumer, and
+		// the abandon path can drain without deadlock.
+		ch := make(chan pathenum.BatchItem, len(queries))
+		var (
+			wg sync.WaitGroup
+			sm sync.Mutex // guards stats merging
+		)
+		for s, idxs := range perShard {
+			if len(idxs) == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				qs := make([]pathenum.Query, len(idxs))
+				for j, i := range idxs {
+					qs[j] = queries[i]
+				}
+				for item := range e.subs[s].StreamBatch(ctx, qs, opts) {
+					if item.Index < 0 {
+						sm.Lock()
+						addBatchStats(stats, item.Stats)
+						sm.Unlock()
+						continue
+					}
+					item.Index = idxs[item.Index]
+					ch <- item
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem := make(chan struct{}, e.totalWorkers())
+			for _, i := range singles {
+				select {
+				case sem <- struct{}{}:
+				case <-ctx.Done():
+				}
+				// Once ctx is done no routed query starts, even one that
+				// won a slot in the same select; later ones skip the wait.
+				if err := ctx.Err(); err != nil {
+					ch <- pathenum.BatchItem{Index: i, Err: err}
+					continue
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer func() { <-sem }()
+					res, err := e.ExecuteWith(ctx, queries[i], opts)
+					ch <- pathenum.BatchItem{Index: i, Result: res, Err: err}
+				}()
+			}
+		}()
+		go func() {
+			wg.Wait()
+			close(ch)
+		}()
+		// On early exit, cancel the execution and drain until every
+		// sub-batch and routed query has wound down.
+		defer func() {
+			cancel()
+			for range ch { //nolint:revive // drain until the dispatchers exit
+			}
+		}()
+		for item := range ch {
+			if !yield(item) {
+				return
+			}
+		}
+		// Every sub-batch's stats item was merged before close(ch).
+		stats.Unique += len(singles)
+		stats.Groups += len(singles)
+		stats.Singletons += len(singles)
+		stats.BFSPassesNaive += 2 * len(singles)
+		stats.BFSPasses += 2 * len(singles)
+		stats.BFSPassesRun += 2 * len(singles)
+		stats.Elapsed = time.Since(start)
+		yield(pathenum.BatchItem{Index: -1, Stats: stats})
+	}
+}
+
+// addBatchStats folds one shard sub-batch's report into the merged stats
+// (Queries/Invalid/Elapsed/GroupTimings are batch-level and excluded).
 func addBatchStats(dst, src *pathenum.BatchStats) {
 	dst.Unique += src.Unique
 	dst.Deduped += src.Deduped
@@ -806,67 +849,8 @@ func addBatchStats(dst, src *pathenum.BatchStats) {
 	dst.BFSPassesRun += src.BFSPassesRun
 	dst.FrontierCacheHits += src.FrontierCacheHits
 	dst.FrontierCacheMisses += src.FrontierCacheMisses
+	dst.DepositsRefused += src.DepositsRefused
 	dst.SharedFrontiers += src.SharedFrontiers
 	dst.TwoSidedFrontiers += src.TwoSidedFrontiers
 	dst.SharedBFS += src.SharedBFS
-}
-
-// StreamBatch delivers per-query results in completion order with the
-// BatchItem contract of pathenum.Engine.StreamBatch. Routing is
-// per-query (each item takes its classified path); cross-shard batches
-// do not yet share computation across the boundary, so the trailing
-// stats item reports the batch shape only.
-func (e *Engine) StreamBatch(ctx context.Context, queries []pathenum.Query, opts pathenum.Options) iter.Seq[pathenum.BatchItem] {
-	return func(yield func(pathenum.BatchItem) bool) {
-		start := time.Now()
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		type settled struct {
-			i   int
-			res *pathenum.Result
-			err error
-		}
-		// Full-size buffer: workers never block on a slow consumer, and
-		// the abandon path can drain without deadlock.
-		ch := make(chan settled, len(queries))
-		go func() {
-			defer close(ch)
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, e.totalWorkers())
-		dispatch:
-			for i, q := range queries {
-				select {
-				case sem <- struct{}{}:
-				case <-ctx.Done():
-					for j := i; j < len(queries); j++ {
-						ch <- settled{i: j, err: ctx.Err()}
-					}
-					break dispatch
-				}
-				wg.Add(1)
-				go func(i int, q pathenum.Query) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					res, err := e.ExecuteWith(ctx, q, opts)
-					ch <- settled{i: i, res: res, err: err}
-				}(i, q)
-			}
-			wg.Wait()
-		}()
-		defer func() {
-			cancel()
-			for range ch { //nolint:revive // drain until the dispatcher exits
-			}
-		}()
-		for s := range ch {
-			if !yield(pathenum.BatchItem{Index: s.i, Result: s.res, Err: s.err}) {
-				return
-			}
-		}
-		yield(pathenum.BatchItem{Index: -1, Stats: &pathenum.BatchStats{
-			Queries: len(queries),
-			Unique:  len(queries),
-			Elapsed: time.Since(start),
-		}})
-	}
 }

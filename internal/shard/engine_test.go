@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
 	"pathenum"
 	"pathenum/internal/gen"
@@ -279,41 +278,66 @@ func TestShardInsertRouting(t *testing.T) {
 	}
 }
 
+// TestShardExecuteBatchAgreement runs one batch through both drains of
+// the router's single batch path — ExecuteBatch and a hand-drained
+// StreamBatch — and checks every slot against a single-image count, on a
+// graph whose queries all take the boundary path and on one whose intra
+// queries run as per-shard sub-batches.
 func TestShardExecuteBatchAgreement(t *testing.T) {
-	g := testGraph(29)
-	e := newShardEngine(t, g, 4)
-	rng := rand.New(rand.NewSource(59))
-	n := g.NumVertices()
-	var qs []pathenum.Query
-	for len(qs) < 24 {
-		s := pathenum.VertexID(rng.Intn(n))
-		tt := pathenum.VertexID(rng.Intn(n))
-		if s == tt {
-			continue
+	for _, tc := range []struct {
+		name string
+		g    *pathenum.Graph
+		p    int
+	}{
+		{"boundary", testGraph(29), 4},
+		{"confined", confinedGraph(t, 29), 2},
+	} {
+		g := tc.g
+		e := newShardEngine(t, g, tc.p)
+		rng := rand.New(rand.NewSource(59))
+		n := g.NumVertices()
+		var qs []pathenum.Query
+		for len(qs) < 24 {
+			s := pathenum.VertexID(rng.Intn(n))
+			tt := pathenum.VertexID(rng.Intn(n))
+			if s == tt {
+				continue
+			}
+			qs = append(qs, pathenum.Query{S: s, T: tt, K: 4})
 		}
-		qs = append(qs, pathenum.Query{S: s, T: tt, K: 4})
-	}
-	qs = append(qs, pathenum.Query{S: qs[0].S, T: qs[0].S, K: 4}) // invalid: s == t
-	results, errs, stats := e.ExecuteBatch(context.Background(), qs, pathenum.Options{})
-	if stats == nil || stats.Queries != len(qs) {
-		t.Fatalf("stats %+v", stats)
-	}
-	if errs[len(qs)-1] == nil {
-		t.Fatal("invalid query must error")
-	}
-	if stats.Invalid != 1 {
-		t.Fatalf("stats.Invalid = %d, want 1", stats.Invalid)
-	}
-	for i, q := range qs[:len(qs)-1] {
-		if errs[i] != nil {
-			t.Fatalf("query %d: %v", i, errs[i])
+		qs = append(qs, pathenum.Query{S: qs[0].S, T: qs[0].S, K: 4}) // invalid: s == t
+		drains := map[string]func() ([]*pathenum.Result, []error, *pathenum.BatchStats){
+			"ExecuteBatch": func() ([]*pathenum.Result, []error, *pathenum.BatchStats) {
+				return e.ExecuteBatch(context.Background(), qs, pathenum.Options{})
+			},
+			"StreamBatch": func() ([]*pathenum.Result, []error, *pathenum.BatchStats) {
+				return drainStream(t, e.StreamBatch(context.Background(), qs, pathenum.Options{}), len(qs))
+			},
 		}
-		want, err := pathenum.Count(g, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if results[i] == nil || results[i].Counters.Results != want {
-			t.Fatalf("query %d (%v): got %+v, want %d paths", i, q, results[i], want)
+		for name, drain := range drains {
+			name = tc.name + "/" + name
+			results, errs, stats := drain()
+			if stats == nil || stats.Queries != len(qs) {
+				t.Fatalf("%s: stats %+v", name, stats)
+			}
+			if errs[len(qs)-1] == nil {
+				t.Fatalf("%s: invalid query must error", name)
+			}
+			if stats.Invalid != 1 {
+				t.Fatalf("%s: stats.Invalid = %d, want 1", name, stats.Invalid)
+			}
+			for i, q := range qs[:len(qs)-1] {
+				if errs[i] != nil {
+					t.Fatalf("%s: query %d: %v", name, i, errs[i])
+				}
+				want, err := pathenum.Count(g, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if results[i] == nil || results[i].Counters.Results != want {
+					t.Fatalf("%s: query %d (%v): got %+v, want %d paths", name, i, q, results[i], want)
+				}
+			}
 		}
 	}
 }
@@ -408,15 +432,5 @@ func TestShardStreamAbandonNoLeak(t *testing.T) {
 			break // abandon after the first path
 		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		runtime.GC()
-		if now := runtime.NumGoroutine(); now <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitGoroutines(t, before)
 }

@@ -23,8 +23,9 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // metricOp indexes the request-op dimension of the pathenum_requests_total /
 // pathenum_request_duration_seconds families: the four public execution
 // surfaces. Ints, not label strings, so the request path indexes fixed
-// arrays instead of hashing map keys. ExecuteAll rides on opExecute (it
-// fans out to ExecuteWith).
+// arrays instead of hashing map keys. ExecuteAllContext rides on
+// opExecute (it fans out to ExecuteWith); ExecuteBatch and StreamBatch
+// share one execution body and differ only in their op.
 type metricOp int
 
 const (

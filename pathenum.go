@@ -30,13 +30,14 @@
 // Enumerate, Paths, Count and the Engine's Execute methods remain as
 // documented wrappers over the same executor spine.
 //
-// Query batches should run through the Engine: ExecuteAllContext fans
-// queries out independently across a worker pool, and ExecuteBatch routes
-// them through the shared-computation batch subsystem (internal/batch),
-// which deduplicates identical queries and reuses one BFS distance
-// frontier across all queries sharing a source or target — the dominant
-// index-construction cost on batch workloads; Engine.StreamBatch is its
-// streaming variant, flushing per-query results as groups complete. On
+// Query batches run through one executor, Engine.StreamBatch: the
+// shared-computation batch subsystem (internal/batch) deduplicates
+// identical queries and reuses one BFS distance frontier across all
+// queries sharing a source or target — the dominant index-construction
+// cost on batch workloads — and flushes per-query results as groups
+// complete. Engine.ExecuteBatch is its input-order drain (CollectBatch).
+// Engine.ExecuteAllContext, the naive independent fan-out, is kept only
+// as the baseline the batch benchmarks compare against. On
 // mutating graphs the engine owns the write path: Engine.Insert applies
 // edges to an engine-owned Dynamic, publishes snapshots amortized by
 // EngineConfig.SnapshotEvery and keeps derived structures (frontier

@@ -237,27 +237,54 @@ type BatchItem struct {
 	Stats *BatchStats
 }
 
-// StreamBatch is the streaming variant of ExecuteBatch: the same
-// shared-computation planning and fail-fast cancellation, but per-query
-// results are delivered incrementally as their groups complete instead of
-// buffered into one slice — a heavy batch starts answering after its
-// first group, not after its slowest. Items arrive in completion order,
-// not input order; Index maps each back to its batch position, invalid
-// queries are delivered first, and duplicates are fanned out as their
-// unique execution settles. Breaking out of the loop cancels the
-// remaining work (queries not yet started are abandoned, in-flight
-// enumerations stop early) and waits for the scheduler to wind down, so
-// sessions are never leaked. The final item carries the BatchStats — see
+// CollectBatch drains a batch stream into input order: results[i] and
+// errs[i] hold the item delivered for batch position i, and stats is the
+// final stats item (nil if the stream ended without one). n is the batch
+// size. ExecuteBatch, on the engine and on the sharded router, is
+// CollectBatch over StreamBatch.
+func CollectBatch(seq iter.Seq[BatchItem], n int) ([]*Result, []error, *BatchStats) {
+	results := make([]*Result, n)
+	errs := make([]error, n)
+	var stats *BatchStats
+	for item := range seq {
+		if item.Index < 0 {
+			stats = item.Stats
+			continue
+		}
+		results[item.Index], errs[item.Index] = item.Result, item.Err
+	}
+	return results, errs, stats
+}
+
+// StreamBatch runs the queries through the shared-computation batch
+// subsystem (internal/batch) — the engine's one batch executor — and
+// delivers per-query results incrementally as their groups complete
+// instead of buffered into one slice, so a heavy batch starts answering
+// after its first group, not after its slowest. ExecuteBatch is the
+// input-order drain of the same execution. Items arrive in completion
+// order, not input order; Index maps each back to its batch position,
+// invalid queries are delivered first, and duplicates are fanned out as
+// their unique execution settles. Cancellation is fail-fast: once ctx is
+// done, queries not yet started settle with ctx.Err() and in-flight
+// enumerations stop early. Breaking out of the loop cancels the remaining
+// work the same way and waits for the scheduler to wind down, so sessions
+// are never leaked. The final item carries the BatchStats — see
 // BatchItem.
 func (e *Engine) StreamBatch(ctx context.Context, queries []Query, opts Options) iter.Seq[BatchItem] {
+	return e.streamBatch(ctx, queries, opts, opStreamBatch)
+}
+
+// streamBatch is the body of StreamBatch and ExecuteBatch; op labels the
+// request and duration metrics.
+func (e *Engine) streamBatch(ctx context.Context, queries []Query, opts Options, op metricOp) iter.Seq[BatchItem] {
 	return func(yield func(BatchItem) bool) {
-		e.metrics.requests[opStreamBatch].Inc()
+		e.metrics.requests[op].Inc()
 		e.metrics.batchQueries.Add(uint64(len(queries)))
 		start := time.Now()
 		// Duration covers first pull to iterator exit, abandoned streams
 		// included — the consumer's drain is part of a streaming batch.
 		defer func() {
-			e.metrics.latency[opStreamBatch].Observe(time.Since(start))
+			e.metrics.latency[op].Observe(time.Since(start))
 		}()
 		g, _, pool := e.view()
 		merged := e.MergeOptions(opts)
@@ -279,9 +306,20 @@ func (e *Engine) StreamBatch(ctx context.Context, queries []Query, opts Options)
 		// so a stalled client cannot hold worker slots hostage — the
 		// consumer-side flush is the only thing that lags.
 		ch := make(chan settled, len(plan.Unique))
-		sch := e.newScheduler(g, pool, merged)
-		sch.OnResult = func(u int, res *core.Result, err error) {
-			ch <- settled{u: u, res: res, err: err}
+		sch := &batch.Scheduler{
+			Workers: e.workers,
+			Acquire: func() *core.Session { return pool.Get().(*core.Session) },
+			Release: func(s *core.Session) { pool.Put(s) },
+			OnResult: func(u int, res *core.Result, err error) {
+				ch <- settled{u: u, res: res, err: err}
+			},
+		}
+		// The frontier cache joins in when the predicate is identifiable.
+		if e.cache != nil && (merged.Predicate == nil || merged.PredicateToken != core.PredicateNone) {
+			sch.Frontiers = &frontierCacheProvider{
+				c: e.cache, g: g, ver: g.Version(), tok: merged.PredicateToken,
+				admit: e.admitDegree(),
+			}
 		}
 		var stats *BatchStats
 		go func() {
@@ -296,7 +334,9 @@ func (e *Engine) StreamBatch(ctx context.Context, queries []Query, opts Options)
 			}
 		}()
 		for s := range ch {
-			e.metrics.observeRun(s.res) // once per unique execution, nil-safe
+			// Batch runs bypass ExecuteWith, so their stage timings fold in
+			// here — once per unique execution, nil-safe.
+			e.metrics.observeRun(s.res)
 			for _, i := range plan.Slots[s.u] {
 				if !yield(BatchItem{Index: i, Result: s.res, Err: s.err}) {
 					return
