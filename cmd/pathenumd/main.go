@@ -24,17 +24,18 @@
 // the optional distance oracle) and observes the request context, so a
 // client disconnect cancels the enumeration mid-flight — including
 // mid-NDJSON-stream. POST /paths is the streaming face of /query
-// (Engine.Stream underneath): paths arrive line by line with per-line
-// flush while enumeration is still running, closed by a {"done":true,...}
-// summary. POST /batch runs the shared-computation batch subsystem —
-// duplicate queries answered once, BFS frontiers shared across queries
-// with a common endpoint — and reports what it saved in the response
-// stats; add "stream":true for NDJSON with per-query flush as groups
-// complete (Engine.StreamBatch). Frontiers survive the batch in the engine's
-// cross-batch cache (size it with -frontier-cache) and single queries
-// both consult and — for hub-grade endpoints — deposit, so a repeat hub
-// is served with zero BFS passes — watch bfsPassesRun and cacheHits in
-// the /batch stats.
+// (Engine.Stream underneath): paths arrive line by line while enumeration
+// is still running — the first at once, later ones at most 5 ms late in
+// batched flushes — closed by a {"done":true,...} summary. POST /batch
+// runs the shared-computation batch subsystem — duplicate queries
+// answered once, BFS frontiers shared across queries with a common
+// endpoint — and reports what it saved in the response stats; add
+// "stream":true for NDJSON with one line per query as groups complete
+// (Engine.StreamBatch), flushed the same way. Frontiers survive the batch
+// in the engine's cross-batch cache (size it with -frontier-cache) and
+// single queries both consult and — for hub-grade endpoints — deposit, so
+// a repeat hub is served with zero BFS passes — watch bfsPassesRun and
+// cacheHits in the /batch stats.
 //
 // -mem-budget caps engine memory (frontier cache + session scratch + join
 // build sides) under one byte budget, e.g. -mem-budget 256MiB: the cache

@@ -95,8 +95,8 @@ func (m *httpMetrics) observe(handler string, status int, elapsed time.Duration)
 }
 
 // statusRecorder captures the response status for the log line and the
-// metrics, passing Flush through so the NDJSON endpoints keep their
-// per-line delivery.
+// metrics, passing Flush through so the NDJSON endpoints' line writer
+// can push lines to the client mid-response.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int

@@ -177,12 +177,13 @@ func (s *Server) Handler() http.Handler {
 }
 
 // ndjsonContentType marks the streaming responses: one JSON object per
-// line, flushed as produced.
+// line, flushed through a lineWriter.
 const ndjsonContentType = "application/x-ndjson"
 
 // streamBuffer is how far enumeration may run ahead of the HTTP write on
-// the streaming endpoints (Request.Buffer): enough to hide per-line
-// encode/flush latency without buffering a result set.
+// the streaming endpoints (Request.Buffer): enough to hide enumeration
+// jitter — a slow stretch of the search, or a write that waits on the
+// client — without buffering a result set.
 const streamBuffer = 32
 
 // handleHealth is the liveness probe: the process is up and the handler
@@ -551,12 +552,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// pathLine is one NDJSON line of POST /paths: a single result path in the
-// input file's vertex ids.
-type pathLine struct {
-	Path []int64 `json:"path"`
-}
-
 // doneLine is the trailing NDJSON line of POST /paths: the run summary a
 // buffered /query response would have carried.
 type doneLine struct {
@@ -568,14 +563,18 @@ type doneLine struct {
 	Millis    float64 `json:"ms"`
 }
 
-// handlePaths streams result paths as NDJSON with per-path flush: the
-// first line reaches the client while enumeration is still running, and a
-// client disconnect cancels the enumeration through the request context —
-// the streaming face of /query. The body is the /query wire format (the
-// "paths" flag is implied); the final line is a {"done":true,...} summary.
-// Unlike /query, results are not capped at the server's maxPaths: delivery
-// is incremental, so the client bounds the response with "limit" or by
-// closing the connection.
+// handlePaths streams result paths as NDJSON, one {"path":[...]} line per
+// result in the input file's vertex ids, then a {"done":true,...}
+// summary: the streaming face of /query. Lines go out through a
+// lineWriter, so the first path is flushed the moment it is produced and
+// later ones reach the client at most flushInterval late, batched into
+// one flush per interval. Each path line is append-encoded into one
+// reused buffer — the bytes json.Marshal would produce, without its
+// reflection or a per-path id slice. A client disconnect cancels the
+// enumeration through the request context. The body is the /query wire
+// format (the "paths" flag is implied). Unlike /query, results are not
+// capped at the server's maxPaths: delivery is incremental, so the client
+// bounds the response with "limit" or by closing the connection.
 func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if !decodeBody(w, r, &req) {
@@ -601,8 +600,9 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 	sreq.OnResult = func(res *pathenum.Result) { sum = res }
 
 	start := time.Now()
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
+	lw := newLineWriter(w)
+	defer lw.close()
+	var line []byte
 	wrote := false
 	for p, serr := range s.engine.Stream(r.Context(), sreq) {
 		if serr != nil {
@@ -612,7 +612,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 			if !wrote {
 				httpError(w, http.StatusBadRequest, "query failed: %v", serr)
 			} else {
-				_ = enc.Encode(map[string]string{"error": serr.Error()})
+				_ = lw.encode(map[string]string{"error": serr.Error()})
 			}
 			return
 		}
@@ -620,28 +620,30 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", ndjsonContentType)
 			wrote = true
 		}
-		if err := enc.Encode(pathLine{Path: s.rawPath(p)}); err != nil {
-			return // client went away; the context cancels the enumeration
+		line = append(line[:0], `{"path":[`...)
+		for i, v := range p {
+			if i > 0 {
+				line = append(line, ',')
+			}
+			line = strconv.AppendInt(line, s.raw(v), 10)
 		}
-		if flusher != nil {
-			flusher.Flush()
+		line = append(line, "]}\n"...)
+		if err := lw.write(line); err != nil {
+			return // client went away; the context cancels the enumeration
 		}
 	}
 	if !wrote {
 		w.Header().Set("Content-Type", ndjsonContentType)
 	}
-	line := doneLine{Done: true, Millis: float64(time.Since(start)) / float64(time.Millisecond)}
+	done := doneLine{Done: true, Millis: float64(time.Since(start)) / float64(time.Millisecond)}
 	if sum != nil {
-		line.Count = sum.Counters.Results
-		line.Completed = sum.Completed
-		line.Plan = sum.Plan.Method.String()
-		line.Cut = sum.Plan.Cut
-		annotate(r, line.Plan, line.Count)
+		done.Count = sum.Counters.Results
+		done.Completed = sum.Completed
+		done.Plan = sum.Plan.Method.String()
+		done.Cut = sum.Plan.Cut
+		annotate(r, done.Plan, done.Count)
 	}
-	_ = enc.Encode(line)
-	if flusher != nil {
-		flusher.Flush()
-	}
+	_ = lw.encode(done)
 }
 
 // batchRequest is the JSON body of POST /batch: a list of queries answered
@@ -652,11 +654,11 @@ type batchRequest struct {
 	Method  string         `json:"method,omitempty"`
 	Limit   uint64         `json:"limit,omitempty"`
 	Timeout string         `json:"timeout,omitempty"`
-	// Stream switches the response to NDJSON with per-query flush: one
-	// {"index":i,...} line the moment each query's group completes
-	// (completion order, not input order), closed by a {"done":true,...}
-	// line carrying the batch stats. Client disconnect cancels the
-	// remaining work fail-fast.
+	// Stream switches the response to NDJSON: one {"index":i,...} line as
+	// each query's group completes (completion order, not input order),
+	// closed by a {"done":true,...} line carrying the batch stats. The
+	// first line is flushed at once and later ones at most flushInterval
+	// late. Client disconnect cancels the remaining work fail-fast.
 	Stream bool `json:"stream,omitempty"`
 }
 
@@ -799,7 +801,7 @@ func (s *Server) toBatchStats(stats *pathenum.BatchStats, totalQueries, rejected
 }
 
 // batchLine is one NDJSON line of a streaming /batch response: the result
-// (or error) of the query at the request's Index position, flushed as its
+// (or error) of the query at the request's Index position, written as its
 // group completes. The embedded slot keeps the field order of the
 // non-streaming response after the index.
 type batchLine struct {
@@ -816,29 +818,24 @@ type batchDoneLine struct {
 
 // streamBatch serves the NDJSON form of /batch: wire-rejected slots
 // first, then one line per query in completion order via
-// Engine.StreamBatch, then the done line with the batch stats. Write
-// failures (client disconnect) abandon the stream, which cancels the
-// remaining work through the request context with the scheduler's
-// fail-fast semantics.
+// Engine.StreamBatch, then the done line with the batch stats. Lines go
+// out through a lineWriter, like /paths: the first at once, later ones at
+// most flushInterval late. Write failures (client disconnect) abandon the
+// stream, which cancels the remaining work through the request context
+// with the scheduler's fail-fast semantics.
 func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, opts pathenum.Options, out []batchResult, queries []pathenum.Query, slots []int) {
 	w.Header().Set("Content-Type", ndjsonContentType)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	lw := newLineWriter(w)
+	defer lw.close()
 	rejected := 0
 	for i := range out {
 		if out[i].Error == "" {
 			continue
 		}
 		rejected++
-		if err := enc.Encode(batchLine{Index: i, batchResult: out[i]}); err != nil {
+		if err := lw.encode(batchLine{Index: i, batchResult: out[i]}); err != nil {
 			return
 		}
-		flush()
 	}
 
 	start := time.Now()
@@ -851,16 +848,14 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, opts pathen
 				done.Stats = &st
 			}
 			annotate(r, "batch", delivered)
-			_ = enc.Encode(done)
-			flush()
+			_ = lw.encode(done)
 			return
 		}
 		line := batchLine{Index: slots[item.Index], batchResult: toBatchResult(item.Result, item.Err)}
 		delivered += line.Count
-		if err := enc.Encode(line); err != nil {
+		if err := lw.encode(line); err != nil {
 			return
 		}
-		flush()
 	}
 }
 
